@@ -6,7 +6,10 @@ Two independent rank algorithms are kept deliberately separate:
   time.  Each fusion product is a classical tensor decomposition whose
   constituents are reflected into the level alcove with signs (constituents
   on a wall die).  The reflection acts on rho-shifted gl tuples; each affine
-  step strictly decreases the sum of squares, so it terminates.
+  step strictly decreases the sum of squares, so it terminates.  The
+  contraction vector is keyed by normalised parts tuples, and the cached
+  fusion products hold ((parts, coeff), ...); SlWeight objects appear only
+  at the public fusion_expand boundary and for the final dual lookup.
 
 * witten_rank evaluates one big quantum Schubert product on Gr(r+1, r+1+l)
   and reads off a single coefficient.
@@ -21,12 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from .errors import ConsistencyError, DomainError
 from .qgrass import GrassmannBox, gw_invariant
 from .schur import _lr_mult, coinvariant_rank
-from .young import Partition, SlWeight, dual_star, fits_level, row, theta_pairing, transpose
+from .young import Partition, SlWeight, dual_star, fits_level, theta_pairing, transpose
 
 
 @dataclass(frozen=True)
@@ -94,52 +97,51 @@ def conformal_weight(r: int, level: int, w: SlWeight) -> Fraction:
     return casimir(r, w) / (2 * (level + r + 1))
 
 
-def _sorted_with_sign(vals):
-    """Descending sort with permutation sign; None when two entries tie."""
-    inv = 0
-    n = len(vals)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if vals[i] < vals[j]:
-                inv += 1
-            elif vals[i] == vals[j]:
-                return None, 0
-    return sorted(vals, reverse=True), (-1 if inv % 2 else 1)
-
-
 def _alcove_reduce(diagram: Partition, r: int, level: int):
     """Reflect a classical constituent into the level alcove.
 
-    Returns (SlWeight, sign) or None when some reflection hyperplane is hit.
+    Returns (normalised parts, sign) or None when some reflection hyperplane
+    is hit.
     """
     m = level + r + 1
-    a = [row(diagram, i) + (r + 1 - i) for i in range(1, r + 2)]
+    a = [x + r - i for i, x in enumerate(diagram + (0,) * (r + 1 - len(diagram)))]
     sign = 1
     while True:
-        a, s = _sorted_with_sign(a)
-        if a is None:
-            return None
-        sign *= s
+        # insertion sort into descending order; each shift is one inversion
+        for i in range(1, r + 1):
+            x = a[i]
+            j = i
+            while j and a[j - 1] < x:
+                a[j] = a[j - 1]
+                j -= 1
+                sign = -sign
+            if j and a[j - 1] == x:
+                return None
+            a[j] = x
         spread = a[0] - a[-1]
         if spread < m:
             break
         if spread == m:
             return None
-        a = [a[-1] + m] + a[1:-1] + [a[0] - m]
+        a[0], a[-1] = a[-1] + m, a[0] - m
         sign = -sign
-    lam = tuple(a[i] - (r - i) for i in range(r + 1))
-    return SlWeight(r, lam), sign
+    last = a[-1]
+    parts = [a[i] - (r - i) - last for i in range(r)]
+    while parts and not parts[-1]:
+        parts.pop()
+    return tuple(parts), sign
 
 
 @lru_cache(maxsize=None)
 def _fusion_expand_cached(r: int, level: int, p: Partition, q: Partition) -> tuple:
+    """((parts, coeff), ...) of the fusion product of two normalised diagrams."""
     acc: Dict[Partition, int] = {}
     for u, mult in _lr_mult(p, q, r + 1).items():
         red = _alcove_reduce(u, r, level)
         if red is None:
             continue
-        w, s = red
-        acc[w.parts] = acc.get(w.parts, 0) + s * mult
+        parts, s = red
+        acc[parts] = acc.get(parts, 0) + s * mult
     return tuple(sorted((parts, c) for parts, c in acc.items() if c))
 
 
@@ -183,14 +185,17 @@ def cb_rank(setup: BlockSetup):
         return 1
     if len(ws) == 1:
         return 1 if ws[0].size == 0 else 0
-    vec = {ws[0]: 1}
+    r, level = setup.r, setup.level
+    vec = {ws[0].parts: 1}
     for w in ws[1:-1]:
-        nxt: Dict[SlWeight, int] = {}
+        q = w.parts
+        nxt: Dict[Partition, int] = {}
         for mu, c in vec.items():
-            for nu, m in fusion_expand(setup.r, setup.level, mu, w).items():
+            pair = (mu, q) if mu <= q else (q, mu)
+            for nu, m in _fusion_expand_cached(r, level, *pair):
                 nxt[nu] = nxt.get(nu, 0) + c * m
         vec = nxt
-    return vec.get(dual_star(ws[-1]), 0)
+    return vec.get(dual_star(ws[-1]).parts, 0)
 
 
 def witten_rank(setup: BlockSetup):
@@ -231,16 +236,27 @@ class VanishingReport:
 
 
 def vanishing_report(setup: BlockSetup) -> VanishingReport:
-    """Levels, strict-threshold flags, and both ranks for one setup."""
+    """Levels, strict-threshold flags, and both ranks for one setup.
+
+    Above either threshold the two ranks must agree; a disagreement raises
+    ConsistencyError instead of being reported.
+    """
     c = critical_level(setup.r, setup.weights)
     t = theta_level(setup.r, setup.weights)
     rank_a = coinvariant_rank(setup.r, setup.weights)
     rank_v = cb_rank(setup)
+    above_critical = c is not None and setup.level > c
+    above_theta = Fraction(setup.level) > t
+    if (above_critical or above_theta) and rank_a != rank_v:
+        bound = "critical" if above_critical else "theta"
+        raise ConsistencyError(
+            f"ranks differ above a vanishing bound ({bound} level): "
+            f"classical {rank_a} != conformal blocks {rank_v}")
     return VanishingReport(
         critical_level=c,
         theta_level=t,
-        above_critical=(c is not None and setup.level > c),
-        above_theta=Fraction(setup.level) > t,
+        above_critical=above_critical,
+        above_theta=above_theta,
         rank_classical=rank_a,
         rank_cb=rank_v,
         ranks_equal=(rank_a == rank_v),

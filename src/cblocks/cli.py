@@ -86,10 +86,6 @@ class ResultDocument:
         return "\n".join(lines) + "\n"
 
 
-def _fmt_fraction(x) -> str:
-    return str(x)
-
-
 def _fmt_bool(b) -> str:
     return "true" if b else "false"
 
@@ -163,6 +159,10 @@ def _cmd_rank(ns) -> ResultDocument:
             results["rank_cb"] = str(cb_rank(setup))
         if ns.method in ("witten", "both"):
             results["rank_witten"] = str(witten_rank(setup))
+        if ns.method == "both" and results["rank_cb"] != results["rank_witten"]:
+            raise ConsistencyError(
+                f"rank routes disagree: fusion {results['rank_cb']} != "
+                f"witten {results['rank_witten']}")
         results["rank_classical"] = str(coinvariant_rank(ns.r, ws))
     return ResultDocument("rank", params, results)
 
@@ -173,10 +173,10 @@ def _cmd_degree(ns) -> ResultDocument:
     params = {"r": str(ns.r), "level": str(ns.level), "weights": _weights_text(ws)}
     results = {
         "degree": str(br.degree),
-        "bulk_term": _fmt_fraction(br.bulk_term),
-        "pairing_12_34": _fmt_fraction(br.pairing_terms[0]),
-        "pairing_13_24": _fmt_fraction(br.pairing_terms[1]),
-        "pairing_14_23": _fmt_fraction(br.pairing_terms[2]),
+        "bulk_term": str(br.bulk_term),
+        "pairing_12_34": str(br.pairing_terms[0]),
+        "pairing_13_24": str(br.pairing_terms[1]),
+        "pairing_14_23": str(br.pairing_terms[2]),
     }
     return ResultDocument("degree", params, results)
 
@@ -187,7 +187,7 @@ def _cmd_vanish(ns) -> ResultDocument:
     params = {"r": str(ns.r), "level": str(ns.level), "weights": _weights_text(ws)}
     results = {
         "critical_level": "undefined" if rep.critical_level is None else str(rep.critical_level),
-        "theta_level": _fmt_fraction(rep.theta_level),
+        "theta_level": str(rep.theta_level),
         "above_critical": _fmt_bool(rep.above_critical),
         "above_theta": _fmt_bool(rep.above_theta),
         "rank_classical": str(rep.rank_classical),
@@ -254,7 +254,7 @@ def _cmd_hassett(ns) -> ResultDocument:
         hw = hassett_weights_theta(ns.level, ws)
     params = {"r": str(ns.r), "level": str(ns.level), "weights": _weights_text(ws),
               "mode": ns.mode}
-    results = {f"a{i}": _fmt_fraction(a) for i, a in enumerate(hw.weights, start=1)}
+    results = {f"a{i}": str(a) for i, a in enumerate(hw.weights, start=1)}
     return ResultDocument("hassett", params, results)
 
 

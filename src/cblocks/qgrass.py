@@ -17,7 +17,7 @@ not depend on the removal order (checked in the tests, not assumed).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from .errors import DomainError
 from .schur import _lr_mult

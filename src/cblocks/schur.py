@@ -7,10 +7,20 @@ the count of i's in rows 1..j may not exceed the count of (i-1)'s in rows
 every shape with too many rows at each step, which keeps intermediate
 expansions inside the world the rank computations live in.
 
+The kernel _lr_mult works on plain row tuples padded to the row bound.  For
+each (shape, previous strip) state it computes every row's cap once (the
+old row above it, and the optional `outer` shape), then enumerates the
+letter's strips row by row into a list, cutting a branch as soon as the cells
+still to place exceed what the remaining rows can hold.  Passing `outer`
+keeps only constituents inside it, and clips every intermediate shape too:
+this is the skew bound of lrcalc-style enumerators, and exact because a
+product never shrinks a shape.
+
 The coinvariant rank of a weight tuple is extracted from such a bounded
-product via the box-complement trick; invariant_oracle recomputes it by a
-deliberately different route (weight-multiplicity convolution followed by a
-Weyl alternating sum) and exists so the two can be played against each other.
+product via the box-complement trick, with the complement as the `outer`
+shape of every step; invariant_oracle recomputes it by a deliberately
+different route (weight-multiplicity convolution followed by a Weyl
+alternating sum) and exists so the two can be played against each other.
 """
 
 from __future__ import annotations
@@ -18,61 +28,89 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
-from typing import Dict, Sequence
+from itertools import accumulate, permutations
+from operator import add
+from typing import Dict, Optional, Sequence
 
 from .errors import CapacityError, DomainError
 from .young import Partition, SlWeight, complement_in_box, partition, row
 
 
-def _ballot_strips(shape: Partition, amount: int, prev, row_bound: int):
-    """Yield (new_shape, counts) for adding `amount` cells as one letter's strip.
+def _add_strips(caps, amount, prev, slack, out):
+    """Append to `out` the per-row counts of every strip of `amount` > 0 cells.
 
-    `prev` is the per-row count tuple of the previous letter's strip, or None
-    for the first letter (no ballot constraint).  Horizontal-strip and ballot
-    conditions are enforced row by row.
+    `caps[j]` bounds row j (horizontal-strip and outer-shape limits, fixed
+    for the state).  `prev` holds the previous letter's per-row counts and
+    carries the ballot limit: the cells placed in rows 0..j may not exceed
+    `slack` plus the previous letter's cells in rows 0..j-1.
     """
-    max_rows = min(row_bound, len(shape) + 1)
-    counts = [0] * max_rows
+    suffix = list(accumulate(reversed(caps), initial=0))[::-1]
+    if suffix[0] < amount:
+        return
+    counts = [0] * len(caps)
 
-    def place(j, remaining, cum_prev_above):
-        if remaining == 0:
-            new_shape = tuple(row(shape, t + 1) + counts[t] for t in range(max_rows))
-            yield partition(new_shape), tuple(counts)
-            return
-        if j > max_rows:
-            return
-        if prev is None:
-            ballot_cap = remaining
-        else:
-            ballot_cap = cum_prev_above - sum(counts[: j - 1])
-        strip_cap = remaining if j == 1 else row(shape, j - 1) - row(shape, j)
-        hi = min(remaining, strip_cap, ballot_cap)
-        for c in range(hi, -1, -1):
-            counts[j - 1] = c
-            next_cum = cum_prev_above if prev is None else cum_prev_above + (
-                prev[j - 1] if j - 1 < len(prev) else 0)
-            yield from place(j + 1, remaining - c, next_cum)
-            counts[j - 1] = 0
+    def place(j, remaining, slack):
+        hi = caps[j]
+        if remaining < hi:
+            hi = remaining
+        if slack < hi:
+            hi = slack
+        lo = remaining - suffix[j + 1]
+        if lo < 0:
+            lo = 0
+        for c in range(hi, lo - 1, -1):
+            counts[j] = c
+            if c == remaining:
+                out.append(tuple(counts))
+            else:
+                place(j + 1, remaining - c, slack - c + prev[j])
+        counts[j] = 0
 
-    yield from place(1, amount, 0)
+    place(0, amount, slack)
 
 
 @lru_cache(maxsize=None)
-def _lr_mult(p: Partition, q: Partition, row_bound: int) -> Dict[Partition, int]:
-    """Expansion of s_p * s_q in Schur functions of `row_bound` variables."""
+def _lr_mult(p: Partition, q: Partition, row_bound: int,
+             outer: Optional[Partition] = None) -> Dict[Partition, int]:
+    """Expansion of s_p * s_q in Schur functions of `row_bound` variables.
+
+    With `outer`, only the constituents contained in that shape are kept;
+    every intermediate shape is clipped to it as well.
+    """
     if len(p) > row_bound or len(q) > row_bound:
         return {}
-    states = {(p, None): 1}
+    rows = row_bound
+    total = sum(p) + sum(q)
+    if outer is not None:
+        rows = min(rows, len(outer))
+        if len(p) > rows or any(a > b for a, b in zip(p, outer)):
+            return {}
+        bound = outer[:rows]
+    else:
+        bound = (total,) * rows
+    if sum(bound) < total:
+        return {}
+    # the first letter has no ballot limit: give it all its cells as slack
+    states = {(p + (0,) * (rows - len(p)), (0,) * rows): 1}
+    slack = q[0] if q else 0
     for m in q:
         nxt = {}
         for (shape, prev), mult in states.items():
-            for new_shape, cnt in _ballot_strips(shape, m, prev, row_bound):
-                key = (new_shape, cnt)
+            if slack + sum(prev[:-1]) < m:    # the ballot limit leaves too little room
+                continue
+            # row j may grow to the lower of the old row above it and bound[j]
+            caps = [(a if a < b else b) - s for a, b, s in zip(bound[:1] + shape, bound, shape)]
+            strips = []
+            _add_strips(caps, m, prev, slack, strips)
+            for cnt in strips:
+                key = (tuple(map(add, shape, cnt)), cnt)
                 nxt[key] = nxt.get(key, 0) + mult
         states = nxt
+        slack = 0
     out: Dict[Partition, int] = {}
     for (shape, _), mult in states.items():
+        while shape and not shape[-1]:
+            shape = shape[:-1]
         out[shape] = out.get(shape, 0) + mult
     return out
 
@@ -84,7 +122,7 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
         return 0
     if any(row(lam, a) > row(nu, a) for a in range(1, len(lam) + 1)):
         return 0
-    return _lr_mult(lam, mu, max(len(nu), 1)).get(nu, 0)
+    return _lr_mult(lam, mu, max(len(nu), 1), nu).get(nu, 0)
 
 
 @dataclass(frozen=True)
@@ -153,11 +191,12 @@ def coinvariant_rank(r: int, weights: Sequence[SlWeight]):
     if any(w.row(1) > width for w in weights):
         return 0
     target = complement_in_box(weights[-1].parts, r + 1, width)
+    # every partial product only grows, so shapes outside the target are dropped
     acc = {(): 1}
     for w in weights[:-1]:
         nxt: Dict[Partition, int] = {}
         for shape, mult in acc.items():
-            for u, m in _lr_mult(shape, w.parts, r + 1).items():
+            for u, m in _lr_mult(shape, w.parts, r + 1, target).items():
                 nxt[u] = nxt.get(u, 0) + mult * m
         acc = nxt
     return acc.get(target, 0)

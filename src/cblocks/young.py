@@ -243,7 +243,3 @@ def weight_text(w: SlWeight) -> str:
         elif c > 1:
             terms.append(f"{c}w{j}")
     return "+".join(terms) if terms else "0"
-
-
-def partition_text(p: Partition) -> str:
-    return "[" + ",".join(str(x) for x in p) + "]"

@@ -44,7 +44,7 @@ from cblocks.schur import (
     invariant_oracle,
     schur_product_bounded,
 )
-from cblocks.young import SlWeight, conjugate, dual_star, transpose
+from cblocks.young import SlWeight, conjugate, dual_star, parse_weight_list, transpose
 
 # (r, level, diagrams, rank_classical, rank_cb, rank_transpose)
 ROWS = (
@@ -364,3 +364,11 @@ def test_13_cli_contract():
                           "--weights", "w1,w1,w1")
     assert code == 2
     assert err == "level 3 ≠ critical level 0\n"
+
+
+def test_14_both_rank_routes_at_user_scale():
+    # sl5, ten points, level 6: a case of the size users run, not a toy input
+    ws = parse_weight_list(
+        "w1+w2+w4,w1+2w4,3w1+w2+w4,3w1+w3+w4,2w1,w2+2w3+3w4,w1+w2,3w1+w2,4w1+w2+w4,5w1", 4)
+    assert cb_rank(BlockSetup(4, 6, ws)) == 62672177
+    assert coinvariant_rank(4, ws) == 215577913584

@@ -172,3 +172,35 @@ def test_bad_jobs_env_exits_1(monkeypatch):
     code, _, err = invoke("table")
     assert code == 1
     assert JOBS_ENV in err
+
+
+def test_rank_both_disagreement_exits_3(monkeypatch):
+    from cblocks import cli
+
+    real = cli.witten_rank
+    monkeypatch.setattr(cli, "witten_rank", lambda setup: real(setup) + 1)
+    code, out, err = invoke("rank", "--r", "2", "--level", "1",
+                            "--weights", "w1,w1,w1,w1,w1,w1", "--method", "both")
+    assert code == 3
+    assert out == ""
+    assert "fusion 1 != witten 2" in err
+
+
+def test_vanish_disagreement_above_critical_exits_3(monkeypatch):
+    from cblocks import cb
+
+    real = cb.cb_rank
+    monkeypatch.setattr(cb, "cb_rank", lambda setup: real(setup) - 1)
+    # critical level 5 and theta level 9/2, so level 6 is above both
+    code, out, err = invoke("vanish", "--r", "2", "--level", "6",
+                            "--weights", "2w1+w2,w2,2w1,2w2,3w2")
+    assert code == 3
+    assert out == ""
+    assert "classical 7 != conformal blocks 6" in err
+
+
+def test_vanish_below_both_levels_reports_unequal_ranks():
+    code, out, _ = invoke("vanish", "--r", "2", "--level", "1",
+                          "--weights", "w1,w1,w1,w1,w1,w1")
+    assert code == 0
+    assert "ranks_equal     false" in out

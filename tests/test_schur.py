@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from cblocks.errors import CapacityError, DomainError
 from cblocks.schur import (
     SchurExpansion,
+    _lr_mult,
     coinvariant_rank,
     invariant_oracle,
     lr_coefficient,
@@ -50,6 +51,24 @@ def test_lr_symmetry(lam, mu, nu):
 def test_lr_conjugation_symmetry(lam, mu, nu):
     assert lr_coefficient(lam, mu, nu) == lr_coefficient(
         conjugate(lam), conjugate(mu), conjugate(nu))
+
+
+def _contained(u, outer):
+    return len(u) <= len(outer) and all(a <= b for a, b in zip(u, outer))
+
+
+@given(boxed_partitions(max_rows=4, max_width=4), boxed_partitions(max_rows=4, max_width=4),
+       st.integers(min_value=1, max_value=5), boxed_partitions(max_rows=5, max_width=8))
+def test_lr_outer_bound_is_a_filter(p, q, row_bound, outer):
+    full = _lr_mult(p, q, row_bound)
+    assert _lr_mult(p, q, row_bound, outer) == {
+        u: m for u, m in full.items() if _contained(u, outer)}
+
+
+@given(boxed_partitions(max_rows=4, max_width=4), boxed_partitions(max_rows=4, max_width=4),
+       st.integers(min_value=1, max_value=5))
+def test_lr_mult_is_commutative(p, q, row_bound):
+    assert _lr_mult(p, q, row_bound) == _lr_mult(q, p, row_bound)
 
 
 def test_schur_product_examples():
