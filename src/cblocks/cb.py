@@ -15,8 +15,8 @@ Two independent rank algorithms are kept deliberately separate:
   and reads off a single coefficient.
 
 They share no reduction code, so their agreement is evidence rather than
-tautology.  The same split exists at three points: kac_walton_fusion (alcove
-reflections) against fusion_coefficient (one Gromov-Witten number).
+tautology.  On three points the split is one fusion coefficient read off by
+alcove reflections against one Gromov-Witten number.
 """
 
 from __future__ import annotations
@@ -155,29 +155,6 @@ def fusion_expand(r: int, level: int, a: SlWeight, b: SlWeight) -> Dict[SlWeight
             for parts, c in _fusion_expand_cached(r, level, p, q)}
 
 
-def kac_walton_fusion(r: int, level: int, a: SlWeight, b: SlWeight, c: SlWeight) -> int:
-    """Three-point rank by alcove reflections: coefficient of c* in a x b."""
-    if c.rank != r or not fits_level(c, level):
-        raise DomainError(f"{c} is not a level-{level} weight of sl_{r + 1}")
-    return fusion_expand(r, level, a, b).get(dual_star(c), 0)
-
-
-def fusion_coefficient(r: int, level: int, a: SlWeight, b: SlWeight, c: SlWeight) -> int:
-    """Three-point rank as one Gromov-Witten number on Gr(r+1, r+1+level)."""
-    for w in (a, b, c):
-        if w.rank != r or not fits_level(w, level):
-            raise DomainError(f"{w} is not a level-{level} weight of sl_{r + 1}")
-    total = a.size + b.size + c.size
-    if total % (r + 1):
-        return 0
-    s = total // (r + 1) - level
-    if s < 0:
-        return coinvariant_rank(r, (a, b, c))
-    box = GrassmannBox(r + 1, r + 1 + level)
-    classes = [a.parts, b.parts, c.parts] + [(level,)] * s
-    return gw_invariant(box, classes, s)
-
-
 def cb_rank(setup: BlockSetup):
     """Bundle rank by contracting fusion matrices along a path of points."""
     ws = setup.weights
@@ -275,8 +252,10 @@ class PartnerData:
 def partner(setup: BlockSetup, force: bool = False) -> PartnerData:
     """Transpose-side setup at swapped parameters, with the rank identity.
 
-    The source must sit exactly at its critical level; `force` bypasses the
-    check (and then the identity between the three ranks is not enforced).
+    The source must sit exactly at its critical level; `force` skips that
+    precondition.  Whenever the source is at its critical level, forced or
+    not, rank_source + rank_partner must equal rank_classical, and a failure
+    raises ConsistencyError.
     """
     c = critical_level(setup.r, setup.weights)
     at_critical = (c == setup.level)
@@ -288,7 +267,7 @@ def partner(setup: BlockSetup, force: bool = False) -> PartnerData:
     rank_source = cb_rank(setup)
     rank_partner = cb_rank(other)
     rank_classical = coinvariant_rank(setup.r, setup.weights)
-    if at_critical and not force and rank_source + rank_partner != rank_classical:
+    if at_critical and rank_source + rank_partner != rank_classical:
         raise ConsistencyError(
             f"rank identity failed: {rank_source} + {rank_partner} != {rank_classical}")
     return PartnerData(setup, other, rank_source, rank_partner, rank_classical)

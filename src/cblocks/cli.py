@@ -14,10 +14,8 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import __version__
@@ -35,14 +33,11 @@ from .nefgeo import (
     contracts_typeA,
     hassett_weights_theta,
     hassett_weights_typeA,
-    hassett_contracts,
     parse_fcurve,
 )
 from .qgrass import GrassmannBox, gw_invariant
 from .schur import coinvariant_rank
 from .young import parse_partition, parse_weight_list, transpose, weight_text
-
-JOBS_ENV = "CBLOCKS_JOBS"
 
 
 @dataclass
@@ -51,6 +46,7 @@ class ResultDocument:
     parameters: dict
     results: dict
     meta: dict = field(default_factory=dict)
+    text: str = ""        # preformatted text output; replaces the echo layout
 
     def flat(self):
         yield "query.command", self.command
@@ -78,6 +74,8 @@ class ResultDocument:
         return buf.getvalue()
 
     def to_text(self) -> str:
+        if self.text:
+            return self.text
         echo = " ".join([self.command] + [f"--{k} {v}" for k, v in self.parameters.items()])
         lines = [echo]
         width = max((len(k) for k in self.results), default=0)
@@ -145,10 +143,15 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _cmd_rank(ns) -> ResultDocument:
+def _weights_and_echo(ns):
+    """The parsed weights and the r/level/weights echo every setup command starts with."""
     ws = parse_weight_list(ns.weights, ns.r)
+    return ws, {"r": str(ns.r), "level": str(ns.level), "weights": _weights_text(ws)}
+
+
+def _cmd_rank(ns) -> ResultDocument:
+    ws, params = _weights_and_echo(ns)
     setup = BlockSetup(ns.r, ns.level, ws)
-    params = {"r": str(ns.r), "level": str(ns.level), "weights": _weights_text(ws)}
     results = {}
     if ns.classical:
         params["classical"] = "true"
@@ -168,9 +171,8 @@ def _cmd_rank(ns) -> ResultDocument:
 
 
 def _cmd_degree(ns) -> ResultDocument:
-    ws = parse_weight_list(ns.weights, ns.r)
+    ws, params = _weights_and_echo(ns)
     br = degree_m04(ns.r, ns.level, ws)
-    params = {"r": str(ns.r), "level": str(ns.level), "weights": _weights_text(ws)}
     results = {
         "degree": str(br.degree),
         "bulk_term": str(br.bulk_term),
@@ -182,9 +184,8 @@ def _cmd_degree(ns) -> ResultDocument:
 
 
 def _cmd_vanish(ns) -> ResultDocument:
-    ws = parse_weight_list(ns.weights, ns.r)
+    ws, params = _weights_and_echo(ns)
     rep = vanishing_report(BlockSetup(ns.r, ns.level, ws))
-    params = {"r": str(ns.r), "level": str(ns.level), "weights": _weights_text(ws)}
     results = {
         "critical_level": "undefined" if rep.critical_level is None else str(rep.critical_level),
         "theta_level": str(rep.theta_level),
@@ -198,9 +199,8 @@ def _cmd_vanish(ns) -> ResultDocument:
 
 
 def _cmd_partner(ns) -> ResultDocument:
-    ws = parse_weight_list(ns.weights, ns.r)
+    ws, params = _weights_and_echo(ns)
     data = partner(BlockSetup(ns.r, ns.level, ws), force=ns.force)
-    params = {"r": str(ns.r), "level": str(ns.level), "weights": _weights_text(ws)}
     if ns.force:
         params["force"] = "true"
     results = {
@@ -235,25 +235,23 @@ def _fcurve_text(f) -> str:
 
 
 def _cmd_fcurve(ns) -> ResultDocument:
-    ws = parse_weight_list(ns.weights, ns.r)
+    ws, params = _weights_and_echo(ns)
     f = parse_fcurve(ns.curve, len(ws))
     if ns.mode == "typeA":
         verdict = contracts_typeA(ns.r, ns.level, ws, f)
     else:
         verdict = contracts_theta(ns.level, ws, f)
-    params = {"r": str(ns.r), "level": str(ns.level), "weights": _weights_text(ws),
-              "curve": _fcurve_text(f), "mode": ns.mode}
+    params.update(curve=_fcurve_text(f), mode=ns.mode)
     return ResultDocument("fcurve", params, {"contracts": _fmt_bool(verdict)})
 
 
 def _cmd_hassett(ns) -> ResultDocument:
-    ws = parse_weight_list(ns.weights, ns.r)
+    ws, params = _weights_and_echo(ns)
     if ns.mode == "typeA":
         hw = hassett_weights_typeA(ns.r, ns.level, ws)
     else:
         hw = hassett_weights_theta(ns.level, ws)
-    params = {"r": str(ns.r), "level": str(ns.level), "weights": _weights_text(ws),
-              "mode": ns.mode}
+    params["mode"] = ns.mode
     results = {f"a{i}": str(a) for i, a in enumerate(hw.weights, start=1)}
     return ResultDocument("hassett", params, results)
 
@@ -295,23 +293,8 @@ def _table_row(entry):
     return computed, expected
 
 
-def _jobs() -> int:
-    raw = os.environ.get(JOBS_ENV, "")
-    if raw.strip():
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            raise ParseError(f"{JOBS_ENV} must be an integer, got {raw!r}") from None
-    return os.cpu_count() or 1
-
-
 def _cmd_table(ns) -> ResultDocument:
-    jobs = min(_jobs(), len(REFERENCE_TABLE))
-    if jobs > 1 and hasattr(os, "fork"):
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_table_row, REFERENCE_TABLE))
-    else:
-        rows = [_table_row(entry) for entry in REFERENCE_TABLE]
+    rows = [_table_row(entry) for entry in REFERENCE_TABLE]
 
     results = {}
     failing = 0
@@ -323,9 +306,7 @@ def _cmd_table(ns) -> ResultDocument:
             results[f"row{i}.{cell}.status"] = "PASS" if ok else "FAIL"
     results["cells_failing"] = str(failing)
 
-    doc = ResultDocument("table", {}, results)
-    doc.text_override = _render_table_text(rows, failing)
-    return doc
+    return ResultDocument("table", {}, results, text=_render_table_text(rows, failing))
 
 
 def _render_table_text(rows, failing) -> str:
@@ -386,7 +367,7 @@ def run(argv, stdout=None, stderr=None) -> int:
     elif ns.format == "csv":
         stdout.write(doc.to_csv())
     else:
-        stdout.write(getattr(doc, "text_override", None) or doc.to_text())
+        stdout.write(doc.to_text())
     return 0
 
 

@@ -25,7 +25,6 @@ alternating sum) and exists so the two can be played against each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, permutations
@@ -123,49 +122,6 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     if any(row(lam, a) > row(nu, a) for a in range(1, len(lam) + 1)):
         return 0
     return _lr_mult(lam, mu, max(len(nu), 1), nu).get(nu, 0)
-
-
-@dataclass(frozen=True)
-class SchurExpansion:
-    """Non-negative integer combination of Schur classes in row_bound variables."""
-
-    terms: tuple          # sorted ((partition, coeff), ...), zero terms absent
-    row_bound: int
-
-    def __post_init__(self):
-        norm = tuple(sorted((partition(p), int(c)) for p, c in dict(self.terms).items() if c))
-        for p, c in norm:
-            if len(p) > self.row_bound:
-                raise DomainError(f"{p} exceeds row bound {self.row_bound}")
-            if c < 0:
-                raise DomainError(f"negative coefficient {c} for {p}")
-        object.__setattr__(self, "terms", norm)
-
-    @classmethod
-    def of(cls, p, row_bound: int) -> "SchurExpansion":
-        return cls(((partition(p), 1),), row_bound)
-
-    @classmethod
-    def unit(cls, row_bound: int) -> "SchurExpansion":
-        return cls((((), 1),), row_bound)
-
-    def coefficient(self, p) -> int:
-        return dict(self.terms).get(partition(p), 0)
-
-    def as_dict(self) -> Dict[Partition, int]:
-        return dict(self.terms)
-
-
-def schur_product_bounded(a: SchurExpansion, b: SchurExpansion) -> SchurExpansion:
-    """Product expansion, discarding shapes taller than the shared row bound."""
-    if a.row_bound != b.row_bound:
-        raise DomainError(f"row bounds differ: {a.row_bound} vs {b.row_bound}")
-    acc: Dict[Partition, int] = {}
-    for p, cp in a.terms:
-        for q, cq in b.terms:
-            for u, m in _lr_mult(p, q, a.row_bound).items():
-                acc[u] = acc.get(u, 0) + cp * cq * m
-    return SchurExpansion(tuple(acc.items()), a.row_bound)
 
 
 def _check_ranks(r: int, weights: Sequence[SlWeight]):

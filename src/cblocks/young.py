@@ -4,7 +4,7 @@ Partitions are plain tuples of weakly decreasing positive integers (canonical
 form drops trailing zeros).  A dominant integral weight of sl_{r+1} is stored
 as its normalized Young diagram, i.e. the representative whose (r+1)-th row is
 empty.  All derived notions (theta pairing, duals, transposes, box
-complements, Schubert index sets) are defined on that canonical data.
+complements) are defined on that canonical data.
 """
 
 from __future__ import annotations
@@ -34,10 +34,6 @@ def partition(parts: Iterable[int]) -> Partition:
 def row(p: Partition, a: int) -> int:
     """Row length p^(a), 1-based; rows past the last are empty."""
     return p[a - 1] if 1 <= a <= len(p) else 0
-
-
-def size(p: Partition) -> int:
-    return sum(p)
 
 
 def conjugate(p: Partition) -> Partition:
@@ -84,16 +80,6 @@ class SlWeight:
 
     def __repr__(self):
         return f"SlWeight(sl{self.rank + 1}, {list(self.parts)})"
-
-
-def normalize(parts: Sequence[int], rows: int) -> SlWeight:
-    """Subtract the last of `rows` row lengths from all rows; an sl_rows weight."""
-    if rows < 2:
-        raise DomainError(f"need at least 2 rows for a special linear algebra, got {rows}")
-    ps = tuple(int(x) for x in parts)
-    if len(ps) > rows:
-        raise DomainError(f"{ps} has more than {rows} rows")
-    return SlWeight(rows - 1, ps)
 
 
 def weight_from_fundamental(coeffs: Sequence[int], r: int) -> SlWeight:
@@ -152,14 +138,6 @@ def complement_in_box(p: Partition, rows: int, width: int) -> Partition:
     if not fits_box(p, rows, width):
         raise DomainError(f"{p} does not fit in a {rows}x{width} box")
     return partition(width - row(p, a) for a in range(rows, 0, -1))
-
-
-def to_index_set(p: Partition, k: int, width: int) -> tuple:
-    """Schubert index set {width + a - p^(a) : a = 1..k}, strictly increasing."""
-    p = partition(p)
-    if not fits_box(p, k, width):
-        raise DomainError(f"{p} does not fit in a {k}x{width} box")
-    return tuple(width + a - row(p, a) for a in range(1, k + 1))
 
 
 _FUND_TERM = re.compile(r"^(\d*)w(\d+)$")

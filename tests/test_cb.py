@@ -12,9 +12,7 @@ from cblocks.cb import (
     critical_level,
     degree_m04,
     factorization_rank,
-    fusion_coefficient,
     fusion_expand,
-    kac_walton_fusion,
     level_weights,
     partner,
     theta_level,
@@ -76,13 +74,16 @@ def test_fusion_examples():
     one = SlWeight(1, (1,))
     zero = SlWeight(1, ())
     two = SlWeight(1, (2,))
-    assert fusion_coefficient(1, 1, one, one, zero) == 1
-    assert kac_walton_fusion(1, 1, one, one, zero) == 1
-    assert fusion_coefficient(1, 2, two, two, two) == 0
-    assert kac_walton_fusion(1, 2, two, two, two) == 0
-    # high level: truncation cannot trigger, classical multiplicity survives
-    assert fusion_coefficient(1, 4, two, two, two) == 1
-    assert kac_walton_fusion(1, 4, two, two, two) == 1
+    cases = (
+        (1, (one, one, zero), 1),
+        (2, (two, two, two), 0),
+        # high level: truncation cannot trigger, classical multiplicity survives
+        (4, (two, two, two), 1),
+    )
+    for level, triple, expected in cases:
+        setup = BlockSetup(1, level, triple)
+        assert cb_rank(setup) == expected
+        assert witten_rank(setup) == expected
 
 
 def test_fusion_expand_small():

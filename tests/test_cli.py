@@ -1,9 +1,16 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from cblocks.cli import JOBS_ENV, REFERENCE_TABLE, run
+from cblocks.cli import REFERENCE_TABLE, run
+
+REPO = Path(__file__).resolve().parent.parent
+GOLDEN = REPO / "perfbench" / "golden"
 
 
 def invoke(*argv):
@@ -22,6 +29,43 @@ def test_rank_text_output():
         "rank_witten     1\n"
         "rank_classical  5\n"
     )
+
+
+@pytest.mark.parametrize("command", (
+    "degree", "fcurve", "gw", "hassett", "partner", "rank", "table", "vanish"))
+def test_text_output_matches_golden(command):
+    expected = (GOLDEN / f"{command}.txt").read_text()
+    # the first line is the replayable echo, except for the table's header
+    argv = ("table",) if command == "table" else expected.splitlines()[0].split(" ")
+    code, out, err = invoke(*argv)
+    assert code == 0 and err == ""
+    assert out == expected
+
+
+@pytest.mark.parametrize("argv, expected", (
+    (("partner", "--r", "2", "--level", "2", "--weights", "w1,w1,w1", "--force"),
+     "partner --r 2 --level 2 --weights w1,w1,w1 --force true\n"
+     "partner_r        2\n"
+     "partner_level    2\n"
+     "partner_weights  w1,w1,w1\n"
+     "rank_source      1\n"
+     "rank_partner     1\n"
+     "rank_classical   1\n"),
+    (("rank", "--r", "1", "--level", "2", "--weights", "w1,w1,w1,w1", "--classical"),
+     "rank --r 1 --level 2 --weights w1,w1,w1,w1 --classical true\n"
+     "rank_classical  2\n"),
+))
+def test_flag_echo_text_output(argv, expected):
+    assert invoke(*argv) == (0, expected, "")
+
+
+def test_import_loads_no_process_pool():
+    probe = ("import sys, cblocks.cli; "
+             "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 def test_rank_classical_flag_skips_bundle_ranks():
@@ -159,21 +203,6 @@ def test_table_json_statuses():
     assert doc["results"]["cells_failing"] == "0"
 
 
-def test_table_worker_count_does_not_change_output(monkeypatch):
-    monkeypatch.setenv(JOBS_ENV, "1")
-    serial = invoke("table")
-    monkeypatch.setenv(JOBS_ENV, "4")
-    parallel = invoke("table")
-    assert serial == parallel
-
-
-def test_bad_jobs_env_exits_1(monkeypatch):
-    monkeypatch.setenv(JOBS_ENV, "many")
-    code, _, err = invoke("table")
-    assert code == 1
-    assert JOBS_ENV in err
-
-
 def test_rank_both_disagreement_exits_3(monkeypatch):
     from cblocks import cli
 
@@ -184,6 +213,19 @@ def test_rank_both_disagreement_exits_3(monkeypatch):
     assert code == 3
     assert out == ""
     assert "fusion 1 != witten 2" in err
+
+
+def test_forced_partner_at_critical_checks_the_identity(monkeypatch):
+    from cblocks import cb
+
+    real = cb.cb_rank
+    monkeypatch.setattr(cb, "cb_rank", lambda setup: real(setup) + 1)
+    # level 1 is the critical level, so --force skips nothing here
+    code, out, err = invoke("partner", "--r", "2", "--level", "1",
+                            "--weights", "w1,w1,w1,w1,w1,w1", "--force")
+    assert code == 3
+    assert out == ""
+    assert "2 + 5 != 5" in err
 
 
 def test_vanish_disagreement_above_critical_exits_3(monkeypatch):

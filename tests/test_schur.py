@@ -3,14 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cblocks.errors import CapacityError, DomainError
-from cblocks.schur import (
-    SchurExpansion,
-    _lr_mult,
-    coinvariant_rank,
-    invariant_oracle,
-    lr_coefficient,
-    schur_product_bounded,
-)
+from cblocks.schur import _lr_mult, coinvariant_rank, invariant_oracle, lr_coefficient
 from cblocks.young import SlWeight, conjugate, dual_star, transpose, weight_from_fundamental
 from strategies import boxed_partitions, weight_tuples
 
@@ -72,21 +65,9 @@ def test_lr_mult_is_commutative(p, q, row_bound):
 
 
 def test_schur_product_examples():
-    two = SchurExpansion.of((2,), 2)
-    oneone = SchurExpansion.of((1, 1), 2)
-    assert schur_product_bounded(two, oneone).as_dict() == {(3, 1): 1}
-
-    a = SchurExpansion.of((1,), 3)
-    assert schur_product_bounded(a, a).as_dict() == {(2,): 1, (1, 1): 1}
-
-    unit = SchurExpansion.unit(3)
-    b = SchurExpansion((((2, 1), 3),), 3)
-    assert schur_product_bounded(b, unit).as_dict() == b.as_dict()
-
-
-def test_schur_product_row_bound_mismatch():
-    with pytest.raises(DomainError):
-        schur_product_bounded(SchurExpansion.unit(2), SchurExpansion.unit(3))
+    assert _lr_mult((2,), (1, 1), 2) == {(3, 1): 1}
+    assert _lr_mult((1,), (1,), 3) == {(2,): 1, (1, 1): 1}
+    assert _lr_mult((2, 1), (), 3) == {(2, 1): 1}
 
 
 def test_coinvariant_rank_table_values():

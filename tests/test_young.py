@@ -9,12 +9,10 @@ from cblocks.young import (
     conjugate,
     dual_star,
     fits_level,
-    normalize,
     parse_weight,
     parse_weight_list,
     partition,
     theta_pairing,
-    to_index_set,
     transpose,
     weight_from_fundamental,
     weight_text,
@@ -30,13 +28,6 @@ def test_partition_canonical_form():
         partition([1, 2])
     with pytest.raises(DomainError):
         partition([2, -1])
-
-
-def test_normalize_examples():
-    assert normalize((2, 2, 2), 3).parts == ()
-    assert normalize((3, 1, 0), 3).parts == (3, 1)
-    assert normalize((4, 2, 1), 3).parts == (3, 1)
-    assert normalize((3, 1), 3).rank == 2
 
 
 def test_weight_from_fundamental_examples():
@@ -75,12 +66,6 @@ def test_theta_pairing_examples():
     assert theta_pairing(SlWeight(3, (4, 2))) == 4
 
 
-def test_to_index_set_examples():
-    assert to_index_set((), 2, 2) == (3, 4)
-    assert to_index_set((2, 1), 2, 2) == (1, 3)
-    assert to_index_set((2, 2), 2, 2) == (1, 2)
-
-
 @given(leveled_weights())
 def test_transpose_involution(rlw):
     r, level, w = rlw
@@ -114,29 +99,6 @@ def test_complement_involution(p, rows, width):
 @given(boxed_partitions(max_rows=3, max_width=4))
 def test_conjugate_involution(p):
     assert conjugate(conjugate(p)) == p
-
-
-def test_index_set_bijection_small_boxes():
-    from itertools import combinations
-    for k, width in [(1, 3), (2, 2), (2, 3), (3, 2)]:
-        seen = {}
-        shapes = [p for p in _all_box_partitions(k, width)]
-        for p in shapes:
-            idx = to_index_set(p, k, width)
-            assert len(idx) == k
-            assert all(a < b for a, b in zip(idx, idx[1:]))
-            assert all(1 <= i <= k + width for i in idx)
-            seen[idx] = p
-        assert len(seen) == len(list(combinations(range(k + width), k)))
-
-
-def _all_box_partitions(rows, width):
-    if rows == 0:
-        yield ()
-        return
-    for first in range(width + 1):
-        for rest in _all_box_partitions(rows - 1, first):
-            yield partition((first,) + rest)
 
 
 def test_parse_weight_forms():
