@@ -2,14 +2,17 @@
 
 Two independent rank algorithms are kept deliberately separate:
 
-* cb_rank contracts fusion matrices along a path, one marked point at a
-  time.  Each fusion product is a classical tensor decomposition whose
-  constituents are reflected into the level alcove with signs (constituents
-  on a wall die).  The reflection acts on rho-shifted gl tuples; each affine
-  step strictly decreases the sum of squares, so it terminates.  The
-  contraction vector is keyed by normalised parts tuples, and the cached
-  fusion products hold ((parts, coeff), ...); SlWeight objects appear only
-  at the public fusion_expand boundary and for the final dual lookup.
+* cb_rank splits the marked points into two halves, contracts fusion
+  matrices along each half one point at a time, and joins the two vectors
+  with one dual pairing: rank = sum over mu of left[mu] * right[mu*], the
+  factorization rule at the middle node.  Each fusion product is a
+  classical tensor decomposition whose constituents are reflected into the
+  level alcove with signs (constituents on a wall die).  The reflection
+  acts on rho-shifted gl tuples; each affine step strictly decreases the
+  sum of squares, so it terminates.  The contraction vectors are keyed by
+  normalised parts tuples, the dual is taken on those tuples, and the
+  cached fusion products hold ((parts, coeff), ...); SlWeight objects
+  appear only at the public fusion_expand boundary.
 
 * witten_rank evaluates one big quantum Schubert product on Gr(r+1, r+1+l)
   and reads off a single coefficient.
@@ -156,23 +159,30 @@ def fusion_expand(r: int, level: int, a: SlWeight, b: SlWeight) -> Dict[SlWeight
 
 
 def cb_rank(setup: BlockSetup):
-    """Bundle rank by contracting fusion matrices along a path of points."""
-    ws = setup.weights
-    if not ws:
-        return 1
-    if len(ws) == 1:
-        return 1 if ws[0].size == 0 else 0
+    """Bundle rank: fuse w1..wh and wn..w(h+1), h = n // 2, into two vectors
+    and pair them at the middle node, summing left[mu] * right[mu*]."""
     r, level = setup.r, setup.level
-    vec = {ws[0].parts: 1}
-    for w in ws[1:-1]:
-        q = w.parts
-        nxt: Dict[Partition, int] = {}
-        for mu, c in vec.items():
-            pair = (mu, q) if mu <= q else (q, mu)
-            for nu, m in _fusion_expand_cached(r, level, *pair):
-                nxt[nu] = nxt.get(nu, 0) + c * m
-        vec = nxt
-    return vec.get(dual_star(ws[-1]).parts, 0)
+    parts = [w.parts for w in setup.weights]
+    h = len(parts) // 2
+    halves = []
+    for half in (parts[:h], parts[h:][::-1]):
+        vec = {half[0] if half else (): 1}
+        for q in half[1:]:
+            nxt: Dict[Partition, int] = {}
+            for mu, c in vec.items():
+                pair = (mu, q) if mu <= q else (q, mu)
+                for nu, m in _fusion_expand_cached(r, level, *pair):
+                    nxt[nu] = nxt.get(nu, 0) + c * m
+            vec = nxt
+        halves.append(vec)
+    left, right = halves
+    total = 0
+    for mu, c in left.items():
+        # mu* on parts: reversed complement of mu in its first-row strip
+        k = mu[0] if mu else 0
+        dual = tuple(k - x for x in reversed(mu + (0,) * (r + 1 - len(mu))) if x < k)
+        total += c * right.get(dual, 0)
+    return total
 
 
 def witten_rank(setup: BlockSetup):

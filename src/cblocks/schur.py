@@ -16,11 +16,14 @@ keeps only constituents inside it, and clips every intermediate shape too:
 this is the skew bound of lrcalc-style enumerators, and exact because a
 product never shrinks a shape.
 
-The coinvariant rank of a weight tuple is extracted from such a bounded
-product via the box-complement trick, with the complement as the `outer`
-shape of every step; invariant_oracle recomputes it by a deliberately
-different route (weight-multiplicity convolution followed by a Weyl
-alternating sum) and exists so the two can be played against each other.
+The coinvariant rank of a weight tuple is the coefficient of the forced
+(r+1) x width box in the product of its Schur functions.  Each half of the
+tuple is multiplied out with the box as the `outer` shape of every step, and
+the halves are joined by the box-complement pairing: s_u * s_v contains the
+box once when v is the complement of u in it, and not otherwise.
+invariant_oracle recomputes the rank by a deliberately different route
+(weight-multiplicity convolution followed by a Weyl alternating sum) and
+exists so the two can be played against each other.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from operator import add
 from typing import Dict, Optional, Sequence
 
 from .errors import CapacityError, DomainError
-from .young import Partition, SlWeight, complement_in_box, partition, row
+from .young import Partition, SlWeight, partition, row
 
 
 def _add_strips(caps, amount, prev, slack, out):
@@ -138,24 +141,32 @@ def coinvariant_rank(r: int, weights: Sequence[SlWeight]):
     """
     weights = tuple(weights)
     _check_ranks(r, weights)
-    if not weights:
-        return 1
     total = sum(w.size for w in weights)
     if total % (r + 1):
         return 0
     width = total // (r + 1)
     if any(w.row(1) > width for w in weights):
         return 0
-    target = complement_in_box(weights[-1].parts, r + 1, width)
-    # every partial product only grows, so shapes outside the target are dropped
-    acc = {(): 1}
-    for w in weights[:-1]:
-        nxt: Dict[Partition, int] = {}
-        for shape, mult in acc.items():
-            for u, m in _lr_mult(shape, w.parts, r + 1, target).items():
-                nxt[u] = nxt.get(u, 0) + mult * m
-        acc = nxt
-    return acc.get(target, 0)
+    # every partial product only grows, so shapes outside the box are dropped
+    box = (width,) * (r + 1)
+    h = len(weights) // 2
+    halves = []
+    for half in (weights[:h], weights[h:][::-1]):
+        acc = {half[0].parts if half else (): 1}
+        for w in half[1:]:
+            nxt: Dict[Partition, int] = {}
+            for shape, mult in acc.items():
+                for u, m in _lr_mult(shape, w.parts, r + 1, box).items():
+                    nxt[u] = nxt.get(u, 0) + mult * m
+            acc = nxt
+        halves.append(acc)
+    left, right = halves
+    rank = 0
+    for u, mult in left.items():
+        # s_u * s_v reaches the box shape exactly when v is u's complement in it
+        v = tuple(width - x for x in reversed(u + (0,) * (r + 1 - len(u))) if x < width)
+        rank += mult * right.get(v, 0)
+    return rank
 
 
 def _gl_dimension(p: Partition, n: int) -> int:

@@ -363,3 +363,12 @@ def test_14_both_rank_routes_at_user_scale():
         "w1+w2+w4,w1+2w4,3w1+w2+w4,3w1+w3+w4,2w1,w2+2w3+3w4,w1+w2,3w1+w2,4w1+w2+w4,5w1", 4)
     assert cb_rank(BlockSetup(4, 6, ws)) == 62672177
     assert coinvariant_rank(4, ws) == 215577913584
+
+
+def test_15_sl3_ladder_at_user_scale():
+    # six copies of k*w1 at level 2k, one level above critical, where both
+    # routes must agree; wide alcoves of the size users run, not toy inputs
+    for k, expected in ((25, 41301), (50, 586976)):
+        ws = parse_weight_list(",".join([f"{k}w1"] * 6), 2)
+        assert cb_rank(BlockSetup(2, 2 * k, ws)) == expected
+        assert coinvariant_rank(2, ws) == expected

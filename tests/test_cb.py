@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -187,8 +188,24 @@ def test_degree_requires_four_weights():
         degree_m04(2, 1, (SlWeight(2, (1,)),) * 3)
 
 
+def test_cb_rank_edge_arities():
+    # n = 0..3 puts h = n // 2 points in the left half: 0, 0, 1 and 1
+    for r, level in ((1, 3), (2, 2), (3, 2)):
+        pool = level_weights(r, level)
+        assert cb_rank(BlockSetup(r, level, ())) == 1
+        for w in pool:
+            assert cb_rank(BlockSetup(r, level, (w,))) == (1 if w.size == 0 else 0)
+        for a, b in product(pool, repeat=2):
+            assert cb_rank(BlockSetup(r, level, (a, b))) == (1 if b == dual_star(a) else 0)
+        for a, b, c in product(pool, repeat=3):
+            expected = witten_rank(BlockSetup(r, level, (a, b, c)))
+            # each rotation puts a different point alone in the left half
+            for ws in ((a, b, c), (b, c, a), (c, a, b)):
+                assert cb_rank(BlockSetup(r, level, ws)) == expected
+
+
 @settings(deadline=None, max_examples=60)
-@given(weight_tuples(max_rank=2, max_level=3, max_points=4))
+@given(weight_tuples(max_rank=2, max_level=3, max_points=6))
 def test_cb_equals_witten(rlw):
     r, level, ws = rlw
     setup = BlockSetup(r, level, ws)

@@ -1,7 +1,10 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cblocks.cb import level_weights
 from cblocks.errors import CapacityError, DomainError
 from cblocks.schur import _lr_mult, coinvariant_rank, invariant_oracle, lr_coefficient
 from cblocks.young import SlWeight, conjugate, dual_star, transpose, weight_from_fundamental
@@ -101,8 +104,26 @@ def test_invariant_oracle_capacity():
         invariant_oracle(3, (big,) * 8, capacity=10)
 
 
+def test_coinvariant_edge_arities():
+    # n = 0..3 puts h = n // 2 points in the left half: 0, 0, 1 and 1
+    for r, first_row in ((1, 3), (2, 3), (3, 2)):
+        pool = level_weights(r, first_row)
+        assert coinvariant_rank(r, ()) == 1
+        for w in pool:
+            assert coinvariant_rank(r, (w,)) == (1 if w.size == 0 else 0)
+        for a, b in product(pool, repeat=2):
+            assert coinvariant_rank(r, (a, b)) == (1 if b == dual_star(a) else 0)
+        for a, b, c in product(pool, repeat=3):
+            expected = invariant_oracle(r, (a, b, c))
+            # each rotation puts a different point alone in the left half
+            for ws in ((a, b, c), (b, c, a), (c, a, b)):
+                assert coinvariant_rank(r, ws) == expected
+
+
+# sl3 weights with first row at most 3 have dimension at most 15, and
+# 15**5 stays under invariant_oracle's default capacity of 10**7
 @settings(deadline=None)
-@given(weight_tuples(max_rank=2, max_level=3, max_points=4))
+@given(weight_tuples(max_rank=2, max_level=3, max_points=5))
 def test_coinvariant_matches_oracle(rlw):
     r, _, ws = rlw
     assert coinvariant_rank(r, ws) == invariant_oracle(r, ws)
