@@ -11,17 +11,27 @@ shape with rows p^(1) >= ... >= p^(k) becomes the strictly decreasing set
 replacing beta_a by beta_a - n, legal when that value is free; the hook's
 height is one plus the number of betas passed on the way down.  The class is
 zero precisely when two betas collide modulo n, and the signed result does
-not depend on the removal order (checked in the tests, not assumed).
+not depend on the removal order (checked in the tests, not assumed).  The
+betas sit in a descending list, so a removal is one slice rotation that
+moves beta_a - n down to its place.
+
+The product of two Schubert classes, already reduced into the box, is
+cached per pair (_quantum_mult).  Its LR expansion adds one horizontal strip
+per row of the second factor, so the factor with fewer rows and cells goes
+second.  quantum_product and gw_invariant both expand over plain
+{(shape, q_degree): coeff} dicts through that cache; gw_invariant folds its
+classes in from the left and reads off the q^d point-class coefficient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Sequence, Tuple
 
 from .errors import DomainError
 from .schur import _lr_mult
-from .young import Partition, fits_box, partition, row
+from .young import Partition, fits_box, partition
 
 
 @dataclass(frozen=True)
@@ -55,25 +65,29 @@ def rim_hook_reduce(p: Partition, box: GrassmannBox, _choose=None):
     k, n = box.k, box.n
     if len(p) > k:
         raise DomainError(f"{p} has more than k={k} rows")
-    bset = set(row(p, a) + k - a for a in range(1, k + 1))
+    betas = [x + k - a for a, x in enumerate(p + (0,) * (k - len(p)), start=1)]
     d = 0
     sign = 1
-    while True:
-        over = [b for b in bset if b >= n]
-        if not over:
-            break
-        b = max(over) if _choose is None else _choose(sorted(over))
-        if b - n in bset:
+    while betas[0] >= n:
+        if _choose is None:
+            i = 0
+        else:
+            i = betas.index(_choose(sorted(x for x in betas if x >= n)))
+        b = betas[i] - n
+        # j: first position holding a beta at most b; the hook passes i+1..j-1
+        j = i + 1
+        while j < k and betas[j] > b:
+            j += 1
+        if j < k and betas[j] == b:
             return None
-        height = 1 + sum(1 for x in bset if b - n < x < b)
-        if (k - height) % 2:
+        if (k - j + i) % 2:
             sign = -sign
-        bset.remove(b)
-        bset.add(b - n)
+        betas[i:j] = betas[i + 1:j] + [b]
         d += 1
-    betas = sorted(bset, reverse=True)
-    reduced = partition(betas[a - 1] - (k - a) for a in range(1, k + 1))
-    return reduced, d, sign
+    shape = [x - k + a for a, x in enumerate(betas, start=1)]
+    while shape and not shape[-1]:
+        shape.pop()
+    return tuple(shape), d, sign
 
 
 @dataclass(frozen=True)
@@ -107,22 +121,41 @@ class QClass:
         return not self.terms
 
 
+@lru_cache(maxsize=None)
+def _quantum_mult(p: Partition, q: Partition, box: GrassmannBox) -> tuple:
+    """sigma_p * sigma_q as (((shape, q_degree), coeff), ...), zeros absent.
+
+    The LR expansion is not cached on its own (this cache already holds the
+    product), and it adds one strip per row of its second factor, so the
+    factor with fewer rows and cells goes second.
+    """
+    if (len(p), sum(p), p) < (len(q), sum(q), q):
+        p, q = q, p
+    acc: Dict[Tuple[Partition, int], int] = {}
+    for u, m in _lr_mult.__wrapped__(p, q, box.k).items():
+        red = rim_hook_reduce(u, box)
+        if red is not None:
+            shape, d, sign = red
+            acc[shape, d] = acc.get((shape, d), 0) + sign * m
+    return tuple((key, c) for key, c in acc.items() if c)
+
+
+def _product(a, b, box: GrassmannBox) -> Dict[Tuple[Partition, int], int]:
+    """Product of two iterables of ((shape, q_degree), coeff) terms."""
+    acc: Dict[Tuple[Partition, int], int] = {}
+    for (p, da), ca in a:
+        for (q, db), cb in b:
+            for (u, e), m in _quantum_mult(p, q, box):
+                key = (u, da + db + e)
+                acc[key] = acc.get(key, 0) + ca * cb * m
+    return acc
+
+
 def quantum_product(a: QClass, b: QClass) -> QClass:
     """q-linear product: classical LR expansion, then rim-hook reduction."""
     if a.box != b.box:
         raise DomainError(f"box mismatch: {a.box} vs {b.box}")
-    box = a.box
-    acc: Dict[Tuple[Partition, int], int] = {}
-    for (p, da), ca in a.terms:
-        for (q, db), cb in b.terms:
-            for u, m in _lr_mult(p, q, box.k).items():
-                red = rim_hook_reduce(u, box)
-                if red is None:
-                    continue
-                shape, extra, sign = red
-                key = (shape, da + db + extra)
-                acc[key] = acc.get(key, 0) + sign * ca * cb * m
-    return QClass(box, tuple(acc.items()))
+    return QClass(a.box, _product(a.terms, b.terms, a.box))
 
 
 def gw_invariant(box: GrassmannBox, classes: Sequence[Partition], d: int):
@@ -137,7 +170,7 @@ def gw_invariant(box: GrassmannBox, classes: Sequence[Partition], d: int):
         return 0
     if sum(sum(p) for p in classes) != box.k * box.width + box.n * d:
         return 0
-    prod = QClass.of(box, classes[0])
+    acc = {(classes[0], 0): 1}
     for p in classes[1:]:
-        prod = quantum_product(prod, QClass.of(box, p))
-    return prod.coefficient(box.point_class, d)
+        acc = _product(acc.items(), (((p, 0), 1),), box)
+    return acc.get((box.point_class, d), 0)

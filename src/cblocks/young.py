@@ -3,8 +3,8 @@
 Partitions are plain tuples of weakly decreasing positive integers (canonical
 form drops trailing zeros).  A dominant integral weight of sl_{r+1} is stored
 as its normalized Young diagram, i.e. the representative whose (r+1)-th row is
-empty.  All derived notions (theta pairing, duals, transposes, box
-complements) are defined on that canonical data.
+empty.  All derived notions (theta pairing, duals, transposes) are defined
+on that canonical data.
 """
 
 from __future__ import annotations
@@ -130,14 +130,6 @@ def dual_star(w: SlWeight) -> SlWeight:
     k = w.row(1)
     rows = w.rank + 1
     return SlWeight(w.rank, tuple(k - w.row(a) for a in range(rows, 0, -1)))
-
-
-def complement_in_box(p: Partition, rows: int, width: int) -> Partition:
-    """Complement of p inside a rows x width box, read upside down."""
-    p = partition(p)
-    if not fits_box(p, rows, width):
-        raise DomainError(f"{p} does not fit in a {rows}x{width} box")
-    return partition(width - row(p, a) for a in range(rows, 0, -1))
 
 
 _FUND_TERM = re.compile(r"^(\d*)w(\d+)$")

@@ -372,3 +372,17 @@ def test_15_sl3_ladder_at_user_scale():
         ws = parse_weight_list(",".join([f"{k}w1"] * 6), 2)
         assert cb_rank(BlockSetup(2, 2 * k, ws)) == expected
         assert coinvariant_rank(2, ws) == expected
+
+
+def test_16_witten_route_at_user_scale():
+    # far below the critical level: the quantum route multiplies in s copies
+    # of the level class and removes rim hooks; the fusion route must agree
+    for r, level, text, s, expected in (
+            (2, 7, "3w1+2w2,5w1,2w1+3w2,w1+4w2,6w2,4w1+w2,2w1+2w2,7w1,w1+w2,3w2,"
+                   "5w1+w2,2w1+4w2,w1+3w2,6w1", 26, 82531552),
+            (4, 4, "w1+w2+w4,w1+2w4,3w1+w4,w3+w4,2w1,w2+2w3,w1+w2,3w1+w2,"
+                   "w1+w2+w4,3w1+w2", 8, 221468)):
+        setup = BlockSetup(r, level, parse_weight_list(text, r))
+        assert sum(w.size for w in setup.weights) == (r + 1) * (level + s)
+        assert witten_rank(setup) == expected
+        assert cb_rank(setup) == expected

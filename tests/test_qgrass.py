@@ -1,12 +1,82 @@
+from itertools import combinations_with_replacement
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cblocks.errors import DomainError
-from cblocks.qgrass import GrassmannBox, QClass, gw_invariant, quantum_product, rim_hook_reduce
+from cblocks.qgrass import (
+    GrassmannBox,
+    QClass,
+    _quantum_mult,
+    gw_invariant,
+    quantum_product,
+    rim_hook_reduce,
+)
 from cblocks.schur import _lr_mult
-from cblocks.young import conjugate, partition
+from cblocks.young import conjugate, partition, row
 from strategies import boxed_partitions
+
+
+def _reference_rim_hook_reduce(p, box):
+    """Set-based rim-hook removal, always from the largest beta number."""
+    p = partition(p)
+    k, n = box.k, box.n
+    bset = set(row(p, a) + k - a for a in range(1, k + 1))
+    d = 0
+    sign = 1
+    while True:
+        over = [b for b in bset if b >= n]
+        if not over:
+            break
+        b = max(over)
+        if b - n in bset:
+            return None
+        height = 1 + sum(1 for x in bset if b - n < x < b)
+        if (k - height) % 2:
+            sign = -sign
+        bset.remove(b)
+        bset.add(b - n)
+        d += 1
+    betas = sorted(bset, reverse=True)
+    reduced = partition(betas[a - 1] - (k - a) for a in range(1, k + 1))
+    return reduced, d, sign
+
+
+def _reference_quantum_mult(p, q, box):
+    acc = {}
+    for u, m in _lr_mult(p, q, box.k).items():
+        red = _reference_rim_hook_reduce(u, box)
+        if red is not None:
+            shape, d, sign = red
+            acc[shape, d] = acc.get((shape, d), 0) + sign * m
+    return {key: c for key, c in acc.items() if c}
+
+
+def _box_shapes(k, width):
+    """Every partition inside the k x width box."""
+    return [partition(sorted(rows, reverse=True))
+            for rows in combinations_with_replacement(range(width + 1), k)]
+
+
+@st.composite
+def _boxes(draw, max_k=4, max_width=5):
+    k = draw(st.integers(1, max_k))
+    return GrassmannBox(k, k + draw(st.integers(1, max_width)))
+
+
+@st.composite
+def _reducible_shapes(draw):
+    """A box and a shape of at most k rows, first row up to 2(n-k)+1."""
+    box = draw(_boxes())
+    return box, draw(boxed_partitions(max_rows=box.k, max_width=2 * box.width + 1))
+
+
+@st.composite
+def _box_pairs(draw):
+    box = draw(_boxes())
+    shapes = boxed_partitions(max_rows=box.k, max_width=box.width)
+    return box, draw(shapes), draw(shapes)
 
 
 def test_box_validation():
@@ -126,3 +196,36 @@ def test_gw_permutation_symmetry(classes, d, rng):
     shuffled = list(classes)
     rng.shuffle(shuffled)
     assert gw_invariant(box, classes, d) == gw_invariant(box, shuffled, d)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_reducible_shapes())
+@example((GrassmannBox(2, 4), (4, 1)))
+@example((GrassmannBox(3, 5), (5, 5, 2)))
+def test_rim_hook_reduce_matches_reference(box_shape):
+    box, p = box_shape
+    assert rim_hook_reduce(p, box) == _reference_rim_hook_reduce(p, box)
+
+
+@settings(deadline=None, max_examples=150)
+@given(_box_pairs())
+def test_quantum_mult_matches_reference(box_pair):
+    box, p, q = box_pair
+    expected = _reference_quantum_mult(p, q, box)
+    assert _quantum_mult(p, q, box) == _quantum_mult(q, p, box)
+    assert dict(_quantum_mult(p, q, box)) == expected
+
+
+def test_cyclic_symmetry():
+    # sigma_(n-k) acts on the Schubert basis as a cyclic shift: the top row is
+    # added when it fits, otherwise one q is paid and a full column removed
+    for k in range(1, 5):
+        for width in range(1, 6):
+            box = GrassmannBox(k, k + width)
+            for lam in _box_shapes(k, width):
+                product = quantum_product(QClass.of(box, (width,)), QClass.of(box, lam))
+                if len(lam) < k:
+                    expected = (((width,) + lam, 0), 1)
+                else:
+                    expected = ((partition(x - 1 for x in lam), 1), 1)
+                assert product.terms == (expected,)

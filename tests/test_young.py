@@ -1,11 +1,9 @@
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 from cblocks.errors import DomainError, ParseError
 from cblocks.young import (
     SlWeight,
-    complement_in_box,
     conjugate,
     dual_star,
     fits_level,
@@ -52,14 +50,6 @@ def test_dual_star_examples():
     assert dual_star(SlWeight(3, (3, 1, 1))) == SlWeight(3, (3, 2, 2))
 
 
-def test_complement_in_box_examples():
-    assert complement_in_box((), 2, 3) == (3, 3)
-    assert complement_in_box((3, 3), 2, 3) == ()
-    assert complement_in_box((2, 1), 2, 3) == (2, 1)
-    with pytest.raises(DomainError):
-        complement_in_box((4,), 2, 3)
-
-
 def test_theta_pairing_examples():
     assert theta_pairing(SlWeight(3, ())) == 0
     assert theta_pairing(SlWeight(2, (1, 1))) == 1
@@ -87,13 +77,6 @@ def test_dual_star_preserves_level(rlw):
 def test_dual_size_identity(w):
     mu = dual_star(w)
     assert mu.size == (w.rank + 1) * w.row(1) - w.size
-
-
-@given(boxed_partitions(max_rows=3, max_width=5), st.integers(3, 5), st.integers(5, 8))
-def test_complement_involution(p, rows, width):
-    c = complement_in_box(p, rows, width)
-    assert complement_in_box(c, rows, width) == p
-    assert sum(p) + sum(c) == rows * width
 
 
 @given(boxed_partitions(max_rows=3, max_width=4))
