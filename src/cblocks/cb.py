@@ -24,36 +24,47 @@ alcove reflections against one Gromov-Witten number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Optional, Sequence
 
 from .errors import ConsistencyError, DomainError
-from .qgrass import GrassmannBox, gw_invariant
 from .schur import _lr_mult, coinvariant_rank
 from .young import Partition, SlWeight, dual_star, fits_level, theta_pairing, transpose
 
 
-@dataclass(frozen=True)
 class BlockSetup:
-    """One bundle: algebra sl_{r+1}, level, and a tuple of alcove weights."""
+    """One bundle: algebra sl_{r+1}, level, and a tuple of alcove weights.
 
-    r: int
-    level: int
-    weights: tuple
+    Setups compare and hash by (r, level, weights).
+    """
 
-    def __post_init__(self):
-        if self.level < 1:
-            raise DomainError(f"level must be positive, got {self.level}")
-        ws = tuple(self.weights)
+    __slots__ = ("r", "level", "weights")
+
+    def __init__(self, r: int, level: int, weights: Sequence[SlWeight]):
+        if level < 1:
+            raise DomainError(f"level must be positive, got {level}")
+        ws = tuple(weights)
         for w in ws:
-            if not isinstance(w, SlWeight) or w.rank != self.r:
-                raise DomainError(f"{w} is not an sl_{self.r + 1} weight")
-            if not fits_level(w, self.level):
+            if not isinstance(w, SlWeight) or w.rank != r:
+                raise DomainError(f"{w} is not an sl_{r + 1} weight")
+            if not fits_level(w, level):
                 raise DomainError(
-                    f"weight {w} has first row {theta_pairing(w)} > level {self.level}")
-        object.__setattr__(self, "weights", ws)
+                    f"weight {w} has first row {theta_pairing(w)} > level {level}")
+        self.r = r
+        self.level = level
+        self.weights = ws
+
+    def __eq__(self, other):
+        if other.__class__ is not BlockSetup:
+            return NotImplemented
+        return (self.r, self.level, self.weights) == (other.r, other.level, other.weights)
+
+    def __hash__(self):
+        return hash((self.r, self.level, self.weights))
+
+    def __repr__(self):
+        return f"BlockSetup(r={self.r!r}, level={self.level!r}, weights={self.weights!r})"
 
     @property
     def n(self) -> int:
@@ -138,7 +149,7 @@ def _alcove_reduce(diagram: Partition, r: int, level: int):
 @lru_cache(maxsize=None)
 def _fusion_expand_cached(r: int, level: int, p: Partition, q: Partition) -> tuple:
     """((parts, coeff), ...) of the fusion product of two normalised diagrams."""
-    acc: Dict[Partition, int] = {}
+    acc: dict[Partition, int] = {}
     for u, mult in _lr_mult(p, q, r + 1).items():
         red = _alcove_reduce(u, r, level)
         if red is None:
@@ -148,7 +159,7 @@ def _fusion_expand_cached(r: int, level: int, p: Partition, q: Partition) -> tup
     return tuple(sorted((parts, c) for parts, c in acc.items() if c))
 
 
-def fusion_expand(r: int, level: int, a: SlWeight, b: SlWeight) -> Dict[SlWeight, int]:
+def fusion_expand(r: int, level: int, a: SlWeight, b: SlWeight) -> dict[SlWeight, int]:
     """Full fusion product of two alcove weights (alcove-reflection route)."""
     for w in (a, b):
         if w.rank != r or not fits_level(w, level):
@@ -168,7 +179,7 @@ def cb_rank(setup: BlockSetup):
     for half in (parts[:h], parts[h:][::-1]):
         vec = {half[0] if half else (): 1}
         for q in half[1:]:
-            nxt: Dict[Partition, int] = {}
+            nxt: dict[Partition, int] = {}
             for mu, c in vec.items():
                 pair = (mu, q) if mu <= q else (q, mu)
                 for nu, m in _fusion_expand_cached(r, level, *pair):
@@ -187,6 +198,8 @@ def cb_rank(setup: BlockSetup):
 
 def witten_rank(setup: BlockSetup):
     """Bundle rank as one quantum Schubert coefficient on Gr(r+1, r+1+level)."""
+    from .qgrass import GrassmannBox, gw_invariant
+
     total = sum(w.size for w in setup.weights)
     if total % (setup.r + 1):
         return 0
@@ -198,7 +211,7 @@ def witten_rank(setup: BlockSetup):
     return gw_invariant(box, classes, s)
 
 
-def critical_level(r: int, weights: Sequence[SlWeight]) -> Optional[int]:
+def critical_level(r: int, weights: Sequence[SlWeight]) -> int | None:
     """-1 + (total size)/(r+1) when that is an integer, else None."""
     total = sum(w.size for w in weights)
     if total % (r + 1):
@@ -211,15 +224,22 @@ def theta_level(r: int, weights: Sequence[SlWeight]) -> Fraction:
     return Fraction(sum(theta_pairing(w) for w in weights), 2) - 1
 
 
-@dataclass(frozen=True)
 class VanishingReport:
-    critical_level: Optional[int]
-    theta_level: Fraction
-    above_critical: bool
-    above_theta: bool
-    rank_classical: int
-    rank_cb: int
-    ranks_equal: bool
+    """Levels, strict-threshold flags and both ranks of one setup."""
+
+    __slots__ = ("critical_level", "theta_level", "above_critical", "above_theta",
+                 "rank_classical", "rank_cb", "ranks_equal")
+
+    def __init__(self, critical_level: int | None, theta_level: Fraction,
+                 above_critical: bool, above_theta: bool,
+                 rank_classical: int, rank_cb: int, ranks_equal: bool):
+        self.critical_level = critical_level
+        self.theta_level = theta_level
+        self.above_critical = above_critical
+        self.above_theta = above_theta
+        self.rank_classical = rank_classical
+        self.rank_cb = rank_cb
+        self.ranks_equal = ranks_equal
 
 
 def vanishing_report(setup: BlockSetup) -> VanishingReport:
@@ -239,24 +259,21 @@ def vanishing_report(setup: BlockSetup) -> VanishingReport:
         raise ConsistencyError(
             f"ranks differ above a vanishing bound ({bound} level): "
             f"classical {rank_a} != conformal blocks {rank_v}")
-    return VanishingReport(
-        critical_level=c,
-        theta_level=t,
-        above_critical=above_critical,
-        above_theta=above_theta,
-        rank_classical=rank_a,
-        rank_cb=rank_v,
-        ranks_equal=(rank_a == rank_v),
-    )
+    return VanishingReport(c, t, above_critical, above_theta, rank_a, rank_v, rank_a == rank_v)
 
 
-@dataclass(frozen=True)
 class PartnerData:
-    source: BlockSetup
-    partner: BlockSetup
-    rank_source: int
-    rank_partner: int
-    rank_classical: int
+    """A setup, its transpose partner, and the three ranks of the identity."""
+
+    __slots__ = ("source", "partner", "rank_source", "rank_partner", "rank_classical")
+
+    def __init__(self, source: BlockSetup, partner: BlockSetup,
+                 rank_source: int, rank_partner: int, rank_classical: int):
+        self.source = source
+        self.partner = partner
+        self.rank_source = rank_source
+        self.rank_partner = rank_partner
+        self.rank_classical = rank_classical
 
 
 def partner(setup: BlockSetup, force: bool = False) -> PartnerData:
@@ -303,11 +320,15 @@ def factorization_rank(setup: BlockSetup, subset) -> int:
     return total
 
 
-@dataclass(frozen=True)
 class DegreeBreakdown:
-    degree: int
-    bulk_term: Fraction
-    pairing_terms: tuple  # one Fraction per two-plus-two split, fixed order
+    """Degree on the four-point line, its bulk term and its three split terms."""
+
+    __slots__ = ("degree", "bulk_term", "pairing_terms")
+
+    def __init__(self, degree: int, bulk_term: Fraction, pairing_terms: tuple):
+        self.degree = degree
+        self.bulk_term = bulk_term
+        self.pairing_terms = pairing_terms  # one Fraction per two-plus-two split, fixed order
 
 
 # splits of four points, as ((a,b),(c,d)) index pairs into the weight tuple

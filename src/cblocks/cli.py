@@ -6,47 +6,35 @@ invocations print identical bytes; JSON and CSV carry the full document.
 
 Exit codes: 0 success, 1 usage or parse error, 2 precondition violation
 (the message names the failed hypothesis), 3 internal consistency failure.
+
+Each handler imports the modules it calls when it runs, so a process loads
+only what its command needs: `gw` never loads cb or nefgeo, and `fcurve` and
+`hassett` load neither cb, qgrass nor schur.  A one-shot process compiles and
+runs every module it imports, which is most of a small command's time.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
 import time
-from dataclasses import dataclass, field
 
 from . import __version__
-from .cb import (
-    BlockSetup,
-    cb_rank,
-    degree_m04,
-    partner,
-    vanishing_report,
-    witten_rank,
-)
 from .errors import ConsistencyError, DomainError, ParseError
-from .nefgeo import (
-    contracts_theta,
-    contracts_typeA,
-    hassett_weights_theta,
-    hassett_weights_typeA,
-    parse_fcurve,
-)
-from .qgrass import GrassmannBox, gw_invariant
-from .schur import coinvariant_rank
 from .young import parse_partition, parse_weight_list, transpose, weight_text
 
 
-@dataclass
 class ResultDocument:
-    command: str
-    parameters: dict
-    results: dict
-    meta: dict = field(default_factory=dict)
-    text: str = ""        # preformatted text output; replaces the echo layout
+    """Query echo, results and meta of one command, rendered in each format."""
+
+    __slots__ = ("command", "parameters", "results", "meta", "text")
+
+    def __init__(self, command: str, parameters: dict, results: dict, text: str = ""):
+        self.command = command
+        self.parameters = parameters
+        self.results = results
+        self.meta = {}
+        self.text = text  # preformatted text output; replaces the echo layout
 
     def flat(self):
         yield "query.command", self.command
@@ -58,6 +46,8 @@ class ResultDocument:
             yield f"meta.{k}", v
 
     def to_json(self) -> str:
+        import json
+
         doc = {
             "query": {"command": self.command, "parameters": self.parameters},
             "results": self.results,
@@ -66,6 +56,9 @@ class ResultDocument:
         return json.dumps(doc, indent=2) + "\n"
 
     def to_csv(self) -> str:
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["key", "value"])
@@ -150,6 +143,9 @@ def _weights_and_echo(ns):
 
 
 def _cmd_rank(ns) -> ResultDocument:
+    from .cb import BlockSetup, cb_rank, witten_rank
+    from .schur import coinvariant_rank
+
     ws, params = _weights_and_echo(ns)
     setup = BlockSetup(ns.r, ns.level, ws)
     results = {}
@@ -171,6 +167,8 @@ def _cmd_rank(ns) -> ResultDocument:
 
 
 def _cmd_degree(ns) -> ResultDocument:
+    from .cb import degree_m04
+
     ws, params = _weights_and_echo(ns)
     br = degree_m04(ns.r, ns.level, ws)
     results = {
@@ -184,6 +182,8 @@ def _cmd_degree(ns) -> ResultDocument:
 
 
 def _cmd_vanish(ns) -> ResultDocument:
+    from .cb import BlockSetup, vanishing_report
+
     ws, params = _weights_and_echo(ns)
     rep = vanishing_report(BlockSetup(ns.r, ns.level, ws))
     results = {
@@ -199,6 +199,8 @@ def _cmd_vanish(ns) -> ResultDocument:
 
 
 def _cmd_partner(ns) -> ResultDocument:
+    from .cb import BlockSetup, partner
+
     ws, params = _weights_and_echo(ns)
     data = partner(BlockSetup(ns.r, ns.level, ws), force=ns.force)
     if ns.force:
@@ -215,6 +217,8 @@ def _cmd_partner(ns) -> ResultDocument:
 
 
 def _cmd_gw(ns) -> ResultDocument:
+    from .qgrass import GrassmannBox, gw_invariant
+
     try:
         k_text, n_text = ns.grassmannian.split(",")
         box = GrassmannBox(int(k_text), int(n_text))
@@ -235,6 +239,8 @@ def _fcurve_text(f) -> str:
 
 
 def _cmd_fcurve(ns) -> ResultDocument:
+    from .nefgeo import contracts_theta, contracts_typeA, parse_fcurve
+
     ws, params = _weights_and_echo(ns)
     f = parse_fcurve(ns.curve, len(ws))
     if ns.mode == "typeA":
@@ -246,6 +252,8 @@ def _cmd_fcurve(ns) -> ResultDocument:
 
 
 def _cmd_hassett(ns) -> ResultDocument:
+    from .nefgeo import hassett_weights_theta, hassett_weights_typeA
+
     ws, params = _weights_and_echo(ns)
     if ns.mode == "typeA":
         hw = hassett_weights_typeA(ns.r, ns.level, ws)
@@ -274,6 +282,9 @@ _TABLE_CELLS = ("deg", "rank_classical", "rank_cb", "rank_transpose")
 
 
 def _table_row(entry):
+    from .cb import BlockSetup, cb_rank, degree_m04
+    from .schur import coinvariant_rank
+
     deg_expected, r, level, weight_texts, rka, rkv, rkt = entry
     ws = parse_weight_list(",".join(weight_texts), r)
     setup = BlockSetup(r, level, ws)

@@ -6,22 +6,23 @@ ever consulted.  The bridge to the rank world lives in the test suites.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import DomainError, ParseError
 from .young import SlWeight, fits_level, theta_pairing
 
 
-@dataclass(frozen=True)
 class FCurve:
-    """A partition of the marked points {1..n} into four non-empty blocks."""
+    """A partition of the marked points {1..n} into four non-empty blocks.
 
-    blocks: tuple  # four frozensets of 1-based indices
+    Curves compare and hash by their blocks, in order.
+    """
 
-    def __post_init__(self):
-        blocks = tuple(frozenset(int(i) for i in b) for b in self.blocks)
+    __slots__ = ("blocks",)
+
+    def __init__(self, blocks):
+        blocks = tuple(frozenset(int(i) for i in b) for b in blocks)
         if len(blocks) != 4:
             raise DomainError(f"need exactly 4 blocks, got {len(blocks)}")
         if any(not b for b in blocks):
@@ -32,7 +33,18 @@ class FCurve:
         n = len(union)
         if union != frozenset(range(1, n + 1)):
             raise DomainError(f"blocks must cover 1..{n} exactly, got {sorted(union)}")
-        object.__setattr__(self, "blocks", blocks)
+        self.blocks = blocks  # four frozensets of 1-based indices
+
+    def __eq__(self, other):
+        if other.__class__ is not FCurve:
+            return NotImplemented
+        return self.blocks == other.blocks
+
+    def __hash__(self):
+        return hash(self.blocks)
+
+    def __repr__(self):
+        return f"FCurve(blocks={self.blocks!r})"
 
     @property
     def n(self) -> int:
@@ -83,20 +95,19 @@ def contracts_theta(level: int, weights: Sequence[SlWeight], f: FCurve) -> bool:
     return sum(sums[:3]) <= level + 1
 
 
-@dataclass(frozen=True)
 class HassettWeights:
     """Rational weight data for a moduli space of weighted pointed lines."""
 
-    weights: tuple  # Fractions, each in (0, 1], summing to more than 2
+    __slots__ = ("weights",)
 
-    def __post_init__(self):
-        ws = tuple(Fraction(a) for a in self.weights)
+    def __init__(self, weights):
+        ws = tuple(Fraction(a) for a in weights)
         for i, a in enumerate(ws, start=1):
             if not 0 < a <= 1:
                 raise DomainError(f"weight a_{i} = {a} outside (0, 1]")
         if sum(ws) <= 2:
             raise DomainError(f"total weight {sum(ws)} not greater than 2")
-        object.__setattr__(self, "weights", ws)
+        self.weights = ws  # Fractions, each in (0, 1], summing to more than 2
 
     @property
     def n(self) -> int:

@@ -25,25 +25,38 @@ classes in from the left and reads off the q^d point-class coefficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from functools import lru_cache
-from typing import Dict, Sequence, Tuple
 
 from .errors import DomainError
 from .schur import _lr_mult
 from .young import Partition, fits_box, partition
 
 
-@dataclass(frozen=True)
 class GrassmannBox:
-    """Gr(k, n): k-planes in n-space; Schubert classes fit in k x (n-k)."""
+    """Gr(k, n): k-planes in n-space; Schubert classes fit in k x (n-k).
 
-    k: int
-    n: int
+    Boxes compare and hash by (k, n); _quantum_mult caches on them.
+    """
 
-    def __post_init__(self):
-        if not 0 < self.k < self.n:
-            raise DomainError(f"need 0 < k < n, got k={self.k}, n={self.n}")
+    __slots__ = ("k", "n")
+
+    def __init__(self, k: int, n: int):
+        if not 0 < k < n:
+            raise DomainError(f"need 0 < k < n, got k={k}, n={n}")
+        self.k = k
+        self.n = n
+
+    def __eq__(self, other):
+        if other.__class__ is not GrassmannBox:
+            return NotImplemented
+        return self.k == other.k and self.n == other.n
+
+    def __hash__(self):
+        return hash((self.k, self.n))
+
+    def __repr__(self):
+        return f"GrassmannBox(k={self.k!r}, n={self.n!r})"
 
     @property
     def width(self) -> int:
@@ -90,25 +103,38 @@ def rim_hook_reduce(p: Partition, box: GrassmannBox, _choose=None):
     return tuple(shape), d, sign
 
 
-@dataclass(frozen=True)
 class QClass:
-    """Integer combination of q-shifted Schubert classes of a fixed box."""
+    """Integer combination of q-shifted Schubert classes of a fixed box.
 
-    box: GrassmannBox
-    terms: tuple  # sorted (((partition, q_degree), coeff), ...), zeros absent
+    Classes compare and hash by (box, terms).
+    """
 
-    def __post_init__(self):
-        items = self.terms.items() if isinstance(self.terms, dict) else self.terms
-        seen: Dict[Tuple[Partition, int], int] = {}
+    __slots__ = ("box", "terms")
+
+    def __init__(self, box: GrassmannBox, terms):
+        items = terms.items() if isinstance(terms, dict) else terms
+        seen: dict[tuple[Partition, int], int] = {}
         for (p, d), c in items:
             p = partition(p)
-            if not fits_box(p, self.box.k, self.box.width):
-                raise DomainError(f"{p} does not fit in {self.box}")
+            if not fits_box(p, box.k, box.width):
+                raise DomainError(f"{p} does not fit in {box}")
             if d < 0:
                 raise DomainError(f"negative q degree {d}")
             seen[(p, int(d))] = seen.get((p, int(d)), 0) + int(c)
-        object.__setattr__(
-            self, "terms", tuple(sorted((k, c) for k, c in seen.items() if c)))
+        self.box = box
+        # sorted (((partition, q_degree), coeff), ...), zeros absent
+        self.terms = tuple(sorted((k, c) for k, c in seen.items() if c))
+
+    def __eq__(self, other):
+        if other.__class__ is not QClass:
+            return NotImplemented
+        return self.box == other.box and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.box, self.terms))
+
+    def __repr__(self):
+        return f"QClass(box={self.box!r}, terms={self.terms!r})"
 
     @classmethod
     def of(cls, box: GrassmannBox, p, q_degree: int = 0) -> "QClass":
@@ -131,7 +157,7 @@ def _quantum_mult(p: Partition, q: Partition, box: GrassmannBox) -> tuple:
     """
     if (len(p), sum(p), p) < (len(q), sum(q), q):
         p, q = q, p
-    acc: Dict[Tuple[Partition, int], int] = {}
+    acc: dict[tuple[Partition, int], int] = {}
     for u, m in _lr_mult.__wrapped__(p, q, box.k).items():
         red = rim_hook_reduce(u, box)
         if red is not None:
@@ -140,9 +166,9 @@ def _quantum_mult(p: Partition, q: Partition, box: GrassmannBox) -> tuple:
     return tuple((key, c) for key, c in acc.items() if c)
 
 
-def _product(a, b, box: GrassmannBox) -> Dict[Tuple[Partition, int], int]:
+def _product(a, b, box: GrassmannBox) -> dict[tuple[Partition, int], int]:
     """Product of two iterables of ((shape, q_degree), coeff) terms."""
-    acc: Dict[Tuple[Partition, int], int] = {}
+    acc: dict[tuple[Partition, int], int] = {}
     for (p, da), ca in a:
         for (q, db), cb in b:
             for (u, e), m in _quantum_mult(p, q, box):

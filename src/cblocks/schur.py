@@ -31,8 +31,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, permutations
+from collections.abc import Sequence
 from operator import add
-from typing import Dict, Optional, Sequence
 
 from .errors import CapacityError, DomainError
 from .young import Partition, SlWeight, partition, row
@@ -73,7 +73,7 @@ def _add_strips(caps, amount, prev, slack, out):
 
 @lru_cache(maxsize=None)
 def _lr_mult(p: Partition, q: Partition, row_bound: int,
-             outer: Optional[Partition] = None) -> Dict[Partition, int]:
+             outer: Partition | None = None) -> dict[Partition, int]:
     """Expansion of s_p * s_q in Schur functions of `row_bound` variables.
 
     With `outer`, only the constituents contained in that shape are kept;
@@ -109,22 +109,12 @@ def _lr_mult(p: Partition, q: Partition, row_bound: int,
                 nxt[key] = nxt.get(key, 0) + mult
         states = nxt
         slack = 0
-    out: Dict[Partition, int] = {}
+    out: dict[Partition, int] = {}
     for (shape, _), mult in states.items():
         while shape and not shape[-1]:
             shape = shape[:-1]
         out[shape] = out.get(shape, 0) + mult
     return out
-
-
-def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
-    """Littlewood-Richardson number c^nu_{lam,mu}; 0 on any mismatch."""
-    lam, mu, nu = partition(lam), partition(mu), partition(nu)
-    if sum(lam) + sum(mu) != sum(nu):
-        return 0
-    if any(row(lam, a) > row(nu, a) for a in range(1, len(lam) + 1)):
-        return 0
-    return _lr_mult(lam, mu, max(len(nu), 1), nu).get(nu, 0)
 
 
 def _check_ranks(r: int, weights: Sequence[SlWeight]):
@@ -154,7 +144,7 @@ def coinvariant_rank(r: int, weights: Sequence[SlWeight]):
     for half in (weights[:h], weights[h:][::-1]):
         acc = {half[0].parts if half else (): 1}
         for w in half[1:]:
-            nxt: Dict[Partition, int] = {}
+            nxt: dict[Partition, int] = {}
             for shape, mult in acc.items():
                 for u, m in _lr_mult(shape, w.parts, r + 1, box).items():
                     nxt[u] = nxt.get(u, 0) + mult * m

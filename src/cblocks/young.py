@@ -10,8 +10,8 @@ on that canonical data.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
+from functools import total_ordering
 
 from .errors import DomainError, ParseError
 
@@ -47,29 +47,43 @@ def fits_box(p: Partition, rows: int, width: int) -> bool:
     return len(p) <= rows and row(p, 1) <= width
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class SlWeight:
     """Dominant integral weight of sl_{rank+1} as a normalized diagram.
 
     Construction accepts any diagram with at most rank+1 rows and subtracts
     the last row when all rank+1 rows are occupied, so every value held by
-    this type is already normalized.
+    this type is already normalized.  Weights compare, order and hash by
+    (rank, parts).
     """
 
-    rank: int
-    parts: Partition
+    __slots__ = ("rank", "parts")
 
-    def __post_init__(self):
-        if self.rank < 1:
-            raise DomainError(f"algebra rank must be positive, got {self.rank}")
-        ps = partition(self.parts)
-        if len(ps) > self.rank + 1:
+    def __init__(self, rank: int, parts: Iterable[int]):
+        if rank < 1:
+            raise DomainError(f"algebra rank must be positive, got {rank}")
+        ps = partition(parts)
+        if len(ps) > rank + 1:
             raise DomainError(
-                f"{ps} has {len(ps)} rows, more than sl_{self.rank + 1} allows")
-        if len(ps) == self.rank + 1:
+                f"{ps} has {len(ps)} rows, more than sl_{rank + 1} allows")
+        if len(ps) == rank + 1:
             last = ps[-1]
             ps = partition(x - last for x in ps)
-        object.__setattr__(self, "parts", ps)
+        self.rank = rank
+        self.parts = ps
+
+    def __eq__(self, other):
+        if other.__class__ is not SlWeight:
+            return NotImplemented
+        return self.rank == other.rank and self.parts == other.parts
+
+    def __lt__(self, other):
+        if other.__class__ is not SlWeight:
+            return NotImplemented
+        return (self.rank, self.parts) < (other.rank, other.parts)
+
+    def __hash__(self):
+        return hash((self.rank, self.parts))
 
     @property
     def size(self) -> int:

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,8 @@ from cblocks.cli import REFERENCE_TABLE, run
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = REPO / "perfbench" / "golden"
+FORMAT_GOLDEN = REPO / "tests" / "golden"
+COMMANDS = ("degree", "fcurve", "gw", "hassett", "partner", "rank", "table", "vanish")
 
 
 def invoke(*argv):
@@ -31,15 +34,31 @@ def test_rank_text_output():
     )
 
 
-@pytest.mark.parametrize("command", (
-    "degree", "fcurve", "gw", "hassett", "partner", "rank", "table", "vanish"))
+def golden_argv(command):
+    """The README input of a command, replayed from its golden text's echo line."""
+    if command == "table":   # the table's first line is a header, not an echo
+        return ["table"]
+    return (GOLDEN / f"{command}.txt").read_text().splitlines()[0].split(" ")
+
+
+def mask_elapsed(out):
+    out = re.sub(r'"elapsed_ms": "\d+"', '"elapsed_ms": "*"', out)
+    return re.sub(r"^meta\.elapsed_ms,\d+$", "meta.elapsed_ms,*", out, flags=re.M)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
 def test_text_output_matches_golden(command):
-    expected = (GOLDEN / f"{command}.txt").read_text()
-    # the first line is the replayable echo, except for the table's header
-    argv = ("table",) if command == "table" else expected.splitlines()[0].split(" ")
-    code, out, err = invoke(*argv)
+    code, out, err = invoke(*golden_argv(command))
     assert code == 0 and err == ""
-    assert out == expected
+    assert out == (GOLDEN / f"{command}.txt").read_text()
+
+
+@pytest.mark.parametrize("fmt", ("json", "csv"))
+@pytest.mark.parametrize("command", COMMANDS)
+def test_json_and_csv_output_match_golden(command, fmt):
+    code, out, err = invoke(*golden_argv(command), "--format", fmt)
+    assert code == 0 and err == ""
+    assert mask_elapsed(out) == (FORMAT_GOLDEN / f"{command}.{fmt}").read_text()
 
 
 @pytest.mark.parametrize("argv, expected", (
@@ -59,13 +78,35 @@ def test_flag_echo_text_output(argv, expected):
     assert invoke(*argv) == (0, expected, "")
 
 
-def test_import_loads_no_process_pool():
-    probe = ("import sys, cblocks.cli; "
-             "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+@pytest.mark.parametrize("command, unwanted", (
+    (None, ("dataclasses", "json", "csv", "multiprocessing", "concurrent.futures",
+            "cblocks.cb", "cblocks.qgrass", "cblocks.schur", "cblocks.nefgeo")),
+    ("gw", ("cblocks.cb", "cblocks.nefgeo")),
+    ("fcurve", ("cblocks.cb", "cblocks.qgrass", "cblocks.schur")),
+    ("hassett", ("cblocks.cb", "cblocks.qgrass", "cblocks.schur")),
+), ids=("import", "gw", "fcurve", "hassett"))
+def test_command_loads_only_its_modules(command, unwanted):
+    argv = None if command is None else golden_argv(command)
+    # a fresh interpreter: this process has imported the whole package already
+    probe = ("import io, sys, cblocks.cli\n"
+             f"argv = {argv!r}\n"
+             "if argv is not None:\n"
+             "    assert cblocks.cli.run(argv, stdout=io.StringIO()) == 0\n"
+             f"print(sorted(set({list(unwanted)!r}) & set(sys.modules)))\n")
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("argv, message", (
+    (("gw", "--grassmannian", "2,4", "--classes", "[3];[1]", "--qdegree", "0"),
+     "(3,) does not fit in GrassmannBox(k=2, n=4)\n"),
+    (("rank", "--r", "2", "--level", "1", "--weights", "2w1,w1"),
+     "weight SlWeight(sl3, [2]) has first row 2 > level 1\n"),
+))
+def test_precondition_messages_carry_reprs(argv, message):
+    assert invoke(*argv) == (2, "", message)
 
 
 def test_rank_classical_flag_skips_bundle_ranks():
@@ -204,10 +245,11 @@ def test_table_json_statuses():
 
 
 def test_rank_both_disagreement_exits_3(monkeypatch):
-    from cblocks import cli
+    from cblocks import cb
 
-    real = cli.witten_rank
-    monkeypatch.setattr(cli, "witten_rank", lambda setup: real(setup) + 1)
+    # the handler imports witten_rank from cb when it runs, so it sees the patch
+    real = cb.witten_rank
+    monkeypatch.setattr(cb, "witten_rank", lambda setup: real(setup) + 1)
     code, out, err = invoke("rank", "--r", "2", "--level", "1",
                             "--weights", "w1,w1,w1,w1,w1,w1", "--method", "both")
     assert code == 3

@@ -6,13 +6,24 @@ from hypothesis import strategies as st
 
 from cblocks.cb import level_weights
 from cblocks.errors import CapacityError, DomainError
-from cblocks.schur import _lr_mult, coinvariant_rank, invariant_oracle, lr_coefficient
-from cblocks.young import SlWeight, conjugate, dual_star, transpose, weight_from_fundamental
+from cblocks.schur import _lr_mult, coinvariant_rank, invariant_oracle
+from cblocks.young import (
+    SlWeight, conjugate, dual_star, partition, row, transpose, weight_from_fundamental)
 from strategies import boxed_partitions, weight_tuples
 
 
 def W(coeffs, r):
     return weight_from_fundamental(coeffs, r)
+
+
+def lr_coefficient(lam, mu, nu):
+    """Littlewood-Richardson number c^nu_{lam,mu}; 0 on any mismatch."""
+    lam, mu, nu = partition(lam), partition(mu), partition(nu)
+    if sum(lam) + sum(mu) != sum(nu):
+        return 0
+    if any(row(lam, a) > row(nu, a) for a in range(1, len(lam) + 1)):
+        return 0
+    return _lr_mult(lam, mu, max(len(nu), 1), nu).get(nu, 0)
 
 
 def test_lr_examples():
