@@ -11,8 +11,9 @@ Two independent rank algorithms are kept deliberately separate:
   acts on rho-shifted gl tuples; each affine step strictly decreases the
   sum of squares, so it terminates.  The contraction vectors are keyed by
   normalised parts tuples, the dual is taken on those tuples, and the
-  cached fusion products hold ((parts, coeff), ...); SlWeight objects
-  appear only at the public fusion_expand boundary.
+  cached fusion products hold ((parts, coeff), ...).  degree_m04 reads its
+  split terms from the same cached products and builds an SlWeight only for
+  a constituent that enters a term, to take its conformal weight.
 
 * witten_rank evaluates one big quantum Schubert product on Gr(r+1, r+1+l)
   and reads off a single coefficient.
@@ -30,7 +31,8 @@ from functools import lru_cache
 
 from .errors import ConsistencyError, DomainError
 from .schur import _lr_mult, coinvariant_rank
-from .young import Partition, SlWeight, dual_star, fits_level, theta_pairing, transpose
+from .young import (
+    Partition, SlWeight, dual_parts, dual_star, fits_level, theta_pairing, transpose)
 
 
 class BlockSetup:
@@ -159,16 +161,6 @@ def _fusion_expand_cached(r: int, level: int, p: Partition, q: Partition) -> tup
     return tuple(sorted((parts, c) for parts, c in acc.items() if c))
 
 
-def fusion_expand(r: int, level: int, a: SlWeight, b: SlWeight) -> dict[SlWeight, int]:
-    """Full fusion product of two alcove weights (alcove-reflection route)."""
-    for w in (a, b):
-        if w.rank != r or not fits_level(w, level):
-            raise DomainError(f"{w} is not a level-{level} weight of sl_{r + 1}")
-    p, q = sorted((a.parts, b.parts))
-    return {SlWeight(r, parts): c
-            for parts, c in _fusion_expand_cached(r, level, p, q)}
-
-
 def cb_rank(setup: BlockSetup):
     """Bundle rank: fuse w1..wh and wn..w(h+1), h = n // 2, into two vectors
     and pair them at the middle node, summing left[mu] * right[mu*]."""
@@ -189,10 +181,7 @@ def cb_rank(setup: BlockSetup):
     left, right = halves
     total = 0
     for mu, c in left.items():
-        # mu* on parts: reversed complement of mu in its first-row strip
-        k = mu[0] if mu else 0
-        dual = tuple(k - x for x in reversed(mu + (0,) * (r + 1 - len(mu))) if x < k)
-        total += c * right.get(dual, 0)
+        total += c * right.get(dual_parts(mu, r), 0)
     return total
 
 
@@ -200,10 +189,10 @@ def witten_rank(setup: BlockSetup):
     """Bundle rank as one quantum Schubert coefficient on Gr(r+1, r+1+level)."""
     from .qgrass import GrassmannBox, gw_invariant
 
-    total = sum(w.size for w in setup.weights)
-    if total % (setup.r + 1):
+    c = critical_level(setup.r, setup.weights)
+    if c is None:
         return 0
-    s = total // (setup.r + 1) - setup.level
+    s = c + 1 - setup.level
     if s < 0:
         return coinvariant_rank(setup.r, setup.weights)
     box = GrassmannBox(setup.r + 1, setup.r + 1 + setup.level)
@@ -348,19 +337,15 @@ def degree_m04(r: int, level: int, weights: Sequence[SlWeight]) -> DegreeBreakdo
     setup = BlockSetup(r, level, ws)
     rank = cb_rank(setup)
     bulk = rank * sum(conformal_weight(r, level, w) for w in ws)
+    parts = [w.parts for w in ws]
     pairings = []
     for (ia, ib), (ic, id_) in _SPLITS:
-        ab = fusion_expand(r, level, ws[ia], ws[ib])
-        cd = fusion_expand(r, level, ws[ic], ws[id_])
+        ab = dict(_fusion_expand_cached(r, level, *sorted((parts[ia], parts[ib]))))
         term = Fraction(0)
-        for mu in level_weights(r, level):
-            n_ab = ab.get(dual_star(mu), 0)
-            if not n_ab:
-                continue
-            n_cd = cd.get(mu, 0)
-            if not n_cd:
-                continue
-            term += conformal_weight(r, level, mu) * n_ab * n_cd
+        for mu, n_cd in _fusion_expand_cached(r, level, *sorted((parts[ic], parts[id_]))):
+            n_ab = ab.get(dual_parts(mu, r), 0)
+            if n_ab:
+                term += conformal_weight(r, level, SlWeight(r, mu)) * n_ab * n_cd
         pairings.append(term)
     total = bulk - sum(pairings)
     if total.denominator != 1:

@@ -139,11 +139,15 @@ def transpose(w: SlWeight, level: int) -> SlWeight:
     return SlWeight(level, conjugate(w.parts))
 
 
+def dual_parts(mu: Partition, r: int) -> Partition:
+    """mu* on normalised sl_{r+1} parts: reversed complement of mu in its first-row strip."""
+    k = mu[0] if mu else 0
+    return tuple(k - x for x in reversed(mu + (0,) * (r + 1 - len(mu))) if x < k)
+
+
 def dual_star(w: SlWeight) -> SlWeight:
     """Highest weight of the dual representation: reversed complement in the first-row strip."""
-    k = w.row(1)
-    rows = w.rank + 1
-    return SlWeight(w.rank, tuple(k - w.row(a) for a in range(rows, 0, -1)))
+    return SlWeight(w.rank, dual_parts(w.parts, w.rank))
 
 
 _FUND_TERM = re.compile(r"^(\d*)w(\d+)$")
@@ -154,18 +158,11 @@ def parse_weight(text: str, r: int) -> SlWeight:
     s = re.sub(r"\s+", "", text)
     if not s:
         raise ParseError("empty weight")
-    if s == "0" or s == "[]":
+    if s == "0":
         return SlWeight(r, ())
     if s.startswith("["):
-        if not s.endswith("]"):
-            raise ParseError(f"unterminated partition literal: {text!r}")
-        body = s[1:-1]
         try:
-            parts = tuple(int(x) for x in body.split(",")) if body else ()
-        except ValueError:
-            raise ParseError(f"bad partition literal: {text!r}") from None
-        try:
-            return SlWeight(r, parts)
+            return SlWeight(r, parse_partition(text))
         except DomainError as e:
             raise ParseError(str(e)) from None
     coeffs = [0] * r

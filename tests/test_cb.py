@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings
@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from cblocks.cb import (
     BlockSetup,
+    _fusion_expand_cached,
     cb_rank,
     casimir,
     conformal_weight,
     critical_level,
     degree_m04,
     factorization_rank,
-    fusion_expand,
     level_weights,
     partner,
     theta_level,
@@ -88,12 +88,8 @@ def test_fusion_examples():
 
 
 def test_fusion_expand_small():
-    w1 = SlWeight(2, (1,))
-    w2 = SlWeight(2, (1, 1))
-    prod = fusion_expand(2, 1, w1, w1)
-    assert {w.parts: c for w, c in prod.items()} == {(1, 1): 1}
-    prod2 = fusion_expand(2, 1, w1, w2)
-    assert {w.parts: c for w, c in prod2.items()} == {(): 1}
+    assert dict(_fusion_expand_cached(2, 1, (1,), (1,))) == {(1, 1): 1}
+    assert dict(_fusion_expand_cached(2, 1, (1,), (1, 1))) == {(): 1}
 
 
 def test_cb_rank_table_values():
@@ -186,6 +182,57 @@ def test_degree_row8():
 def test_degree_requires_four_weights():
     with pytest.raises(DomainError):
         degree_m04(2, 1, (SlWeight(2, (1,)),) * 3)
+
+
+def _reference_degree(r, level, ws):
+    """(bulk, pairing terms, degree) with each split term summed over every
+    level weight mu, reading the two fusion products at mu* and mu."""
+    def fusion(a, b):
+        return dict(_fusion_expand_cached(r, level, *sorted((a.parts, b.parts))))
+
+    bulk = cb_rank(BlockSetup(r, level, ws)) * sum(conformal_weight(r, level, w) for w in ws)
+    pairings = []
+    for (ia, ib), (ic, id_) in (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))):
+        ab = fusion(ws[ia], ws[ib])
+        cd = fusion(ws[ic], ws[id_])
+        term = Fraction(0)
+        for mu in level_weights(r, level):
+            n_ab = ab.get(dual_star(mu).parts, 0)
+            n_cd = cd.get(mu.parts, 0)
+            if n_ab and n_cd:
+                term += conformal_weight(r, level, mu) * n_ab * n_cd
+        pairings.append(term)
+    return bulk, tuple(pairings), bulk - sum(pairings)
+
+
+def _four_point_setups(nonzero=False):
+    """Every 4-multiset of weights for r <= 2, level <= 3, in sorted order."""
+    for r, level in product((1, 2), (1, 2, 3)):
+        pool = [w for w in level_weights(r, level) if w.size or not nonzero]
+        for ws in combinations_with_replacement(pool, 4):
+            yield r, level, ws
+
+
+def test_degree_matches_reference_loop():
+    for r, level, ws in _four_point_setups():
+        for order in (ws, (ws[2], ws[0], ws[3], ws[1])):
+            br = degree_m04(r, level, order)
+            assert (br.bulk_term, br.pairing_terms, br.degree) == _reference_degree(r, level, order)
+
+
+def test_degree_vanishing_and_partner_identity():
+    above = at_critical = 0
+    for r, level, ws in _four_point_setups(nonzero=True):
+        c = critical_level(r, ws)
+        degree = degree_m04(r, level, ws).degree
+        if (c is not None and level > c) or level > theta_level(r, ws):
+            above += 1
+            assert degree == 0, (r, level, ws)
+        if c == level:
+            at_critical += 1
+            other = partner(BlockSetup(r, level, ws))
+            assert degree == degree_m04(level, r, other.partner.weights).degree, (r, level, ws)
+    assert (above, at_critical) == (141, 72)
 
 
 def test_cb_rank_edge_arities():

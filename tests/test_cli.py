@@ -134,6 +134,12 @@ def test_bad_weight_exits_1():
     assert "w9" in err
 
 
+@pytest.mark.parametrize("literal", ("[3,1", "[a]", "[1,2]", "[1,1,1,1]"))
+def test_bad_partition_literal_exits_1(literal):
+    code, out, err = invoke("rank", "--r", "2", "--level", "3", "--weights", f"w1,{literal}")
+    assert code == 1 and out == "" and err
+
+
 def test_partner_off_critical_exits_2():
     code, _, err = invoke("partner", "--r", "2", "--level", "3", "--weights", "w1,w1,w1")
     assert code == 2
@@ -242,6 +248,24 @@ def test_table_json_statuses():
     statuses = [v for k, v in doc["results"].items() if k.endswith(".status")]
     assert statuses and set(statuses) == {"PASS"}
     assert doc["results"]["cells_failing"] == "0"
+
+
+def test_table_reports_failing_cells(monkeypatch):
+    from cblocks import cli
+
+    row2 = REFERENCE_TABLE[1][:4] + ("3", "1", "0")   # rank_classical and rank_transpose wrong
+    monkeypatch.setattr(cli, "REFERENCE_TABLE", REFERENCE_TABLE[:1] + (row2,) + REFERENCE_TABLE[2:])
+    code, out, _ = invoke("table")
+    assert code == 0
+    assert out.splitlines()[2].endswith(
+        "FAIL:rank_classical=2(expected 3),rank_transpose=1(expected 0)")
+    assert out.count("PASS") == len(REFERENCE_TABLE) - 1
+    assert out.endswith("cells failing: 2\n")
+    code, out, _ = invoke("table", "--format", "json")
+    results = json.loads(out)["results"]
+    failed = [k for k, v in results.items() if k.endswith(".status") and v == "FAIL"]
+    assert failed == ["row2.rank_classical.status", "row2.rank_transpose.status"]
+    assert results["cells_failing"] == "2"
 
 
 def test_rank_both_disagreement_exits_3(monkeypatch):

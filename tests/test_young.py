@@ -108,6 +108,14 @@ def test_parse_weight_list_respects_brackets():
         parse_weight_list("[3,1", 2)
 
 
+@pytest.mark.parametrize("text", ("[3,1", "[a]", "[1,2]", "[1,1,1,1]"))
+def test_bad_partition_literal(text):
+    with pytest.raises(ParseError):
+        parse_weight(text, 2)
+    with pytest.raises(ParseError):
+        parse_weight_list(text, 2)
+
+
 @given(sl_weights())
 def test_weight_text_round_trip(w):
     assert parse_weight(weight_text(w), w.rank) == w
