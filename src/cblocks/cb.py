@@ -9,7 +9,11 @@ Two independent rank algorithms are kept deliberately separate:
   classical tensor decomposition whose constituents are reflected into the
   level alcove with signs (constituents on a wall die).  The reflection
   acts on rho-shifted gl tuples; each affine step strictly decreases the
-  sum of squares, so it terminates.  The contraction vectors are keyed by
+  sum of squares, so it terminates.  A constituent nu with
+  nu_1 - nu_{r+1} <= level is already in the alcove (its rho-shifted tuple
+  strictly decreases with spread < level + r + 1), so the fusion product
+  only subtracts its last row and counts it with sign +1; the reflection
+  loop sees the rest.  The contraction vectors are keyed by
   normalised parts tuples, the dual is taken on those tuples, and the
   cached fusion products hold ((parts, coeff), ...).  degree_m04 reads its
   split terms from the same cached products and builds an SlWeight only for
@@ -153,6 +157,14 @@ def _fusion_expand_cached(r: int, level: int, p: Partition, q: Partition) -> tup
     """((parts, coeff), ...) of the fusion product of two normalised diagrams."""
     acc: dict[Partition, int] = {}
     for u, mult in _lr_mult(p, q, r + 1).items():
+        last = u[r] if len(u) > r else 0
+        if not u or u[0] - last <= level:
+            # rho-shifted tuple strictly decreasing with spread < level + r + 1:
+            # already in the alcove, so only the last row comes off
+            if last:
+                u = tuple([x - last for x in u if x > last])
+            acc[u] = acc.get(u, 0) + mult
+            continue
         red = _alcove_reduce(u, r, level)
         if red is None:
             continue
@@ -202,15 +214,15 @@ def witten_rank(setup: BlockSetup):
 
 def critical_level(r: int, weights: Sequence[SlWeight]) -> int | None:
     """-1 + (total size)/(r+1) when that is an integer, else None."""
-    total = sum(w.size for w in weights)
+    total = sum(sum(w.parts) for w in weights)
     if total % (r + 1):
         return None
     return total // (r + 1) - 1
 
 
 def theta_level(r: int, weights: Sequence[SlWeight]) -> Fraction:
-    """-1 + half the sum of highest-root pairings; an exact half-integer."""
-    return Fraction(sum(theta_pairing(w) for w in weights), 2) - 1
+    """-1 + half the sum of highest-root pairings (first rows); an exact half-integer."""
+    return Fraction(sum(w.parts[0] for w in weights if w.parts) - 2, 2)
 
 
 class VanishingReport:
@@ -242,7 +254,7 @@ def vanishing_report(setup: BlockSetup) -> VanishingReport:
     rank_a = coinvariant_rank(setup.r, setup.weights)
     rank_v = cb_rank(setup)
     above_critical = c is not None and setup.level > c
-    above_theta = Fraction(setup.level) > t
+    above_theta = setup.level * t.denominator > t.numerator
     if (above_critical or above_theta) and rank_a != rank_v:
         bound = "critical" if above_critical else "theta"
         raise ConsistencyError(

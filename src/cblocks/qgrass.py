@@ -15,6 +15,14 @@ not depend on the removal order (checked in the tests, not assumed).  The
 betas sit in a descending list, so a removal is one slice rotation that
 moves beta_a - n down to its place.
 
+Input is validated once, at the public boundary: rim_hook_reduce
+canonicalises its partition and checks the row count, then runs the one
+removal loop (_remove_rim_hooks).  _quantum_mult hands that loop the LR
+kernel's constituents directly, since the kernel already returns canonical
+shapes with at most k rows.  A shape whose first row is at most n - k is
+in the box and comes back as it is, with no hooks and sign +1, before any
+beta numbers are built.
+
 The product of two Schubert classes, already reduced into the box, is
 cached per pair (_quantum_mult).  Its LR expansion adds one horizontal strip
 per row of the second factor, so the factor with fewer rows and cells goes
@@ -75,17 +83,24 @@ def rim_hook_reduce(p: Partition, box: GrassmannBox, _choose=None):
     independence); the default always removes from the largest beta.
     """
     p = partition(p)
+    if len(p) > box.k:
+        raise DomainError(f"{p} has more than k={box.k} rows")
+    return _remove_rim_hooks(p, box, _choose)
+
+
+def _remove_rim_hooks(p: Partition, box: GrassmannBox, choose=None):
+    """rim_hook_reduce on a canonical partition with at most k rows."""
     k, n = box.k, box.n
-    if len(p) > k:
-        raise DomainError(f"{p} has more than k={k} rows")
+    if not p or p[0] <= n - k:
+        return p, 0, 1
     betas = [x + k - a for a, x in enumerate(p + (0,) * (k - len(p)), start=1)]
     d = 0
     sign = 1
     while betas[0] >= n:
-        if _choose is None:
+        if choose is None:
             i = 0
         else:
-            i = betas.index(_choose(sorted(x for x in betas if x >= n)))
+            i = betas.index(choose(sorted(x for x in betas if x >= n)))
         b = betas[i] - n
         # j: first position holding a beta at most b; the hook passes i+1..j-1
         j = i + 1
@@ -159,7 +174,7 @@ def _quantum_mult(p: Partition, q: Partition, box: GrassmannBox) -> tuple:
         p, q = q, p
     acc: dict[tuple[Partition, int], int] = {}
     for u, m in _lr_mult.__wrapped__(p, q, box.k).items():
-        red = rim_hook_reduce(u, box)
+        red = _remove_rim_hooks(u, box)
         if red is not None:
             shape, d, sign = red
             acc[shape, d] = acc.get((shape, d), 0) + sign * m

@@ -10,8 +10,11 @@ expansions inside the world the rank computations live in.
 The kernel _lr_mult works on plain row tuples padded to the row bound.  For
 each (shape, previous strip) state it computes every row's cap once (the
 old row above it, and the optional `outer` shape), then enumerates the
-letter's strips row by row into a list, cutting a branch as soon as the cells
-still to place exceed what the remaining rows can hold.  Passing `outer`
+letter's strips row by row, growing the shape in place and adding each
+finished (shape, strip) straight into the next state table.  A branch is cut
+as soon as the cells still to place exceed what the remaining rows can hold.
+Every constituent leaves the kernel canonical (trailing zeros dropped), so
+callers use it without validating it again.  Passing `outer`
 keeps only constituents inside it, and clips every intermediate shape too:
 this is the skew bound of lrcalc-style enumerators, and exact because a
 product never shrinks a shape.
@@ -32,43 +35,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, permutations
 from collections.abc import Sequence
-from operator import add
 
 from .errors import CapacityError, DomainError
 from .young import Partition, SlWeight, partition, row
-
-
-def _add_strips(caps, amount, prev, slack, out):
-    """Append to `out` the per-row counts of every strip of `amount` > 0 cells.
-
-    `caps[j]` bounds row j (horizontal-strip and outer-shape limits, fixed
-    for the state).  `prev` holds the previous letter's per-row counts and
-    carries the ballot limit: the cells placed in rows 0..j may not exceed
-    `slack` plus the previous letter's cells in rows 0..j-1.
-    """
-    suffix = list(accumulate(reversed(caps), initial=0))[::-1]
-    if suffix[0] < amount:
-        return
-    counts = [0] * len(caps)
-
-    def place(j, remaining, slack):
-        hi = caps[j]
-        if remaining < hi:
-            hi = remaining
-        if slack < hi:
-            hi = slack
-        lo = remaining - suffix[j + 1]
-        if lo < 0:
-            lo = 0
-        for c in range(hi, lo - 1, -1):
-            counts[j] = c
-            if c == remaining:
-                out.append(tuple(counts))
-            else:
-                place(j + 1, remaining - c, slack - c + prev[j])
-        counts[j] = 0
-
-    place(0, amount, slack)
 
 
 @lru_cache(maxsize=None)
@@ -95,18 +64,47 @@ def _lr_mult(p: Partition, q: Partition, row_bound: int,
     # the first letter has no ballot limit: give it all its cells as slack
     states = {(p + (0,) * (rows - len(p)), (0,) * rows): 1}
     slack = q[0] if q else 0
+    counts = [0] * rows              # the letter's cells in each row
+    grown = [0] * rows               # the shape with those cells added
+
+    def place(j, remaining, room):
+        """Put c cells of the letter in row j, for each c in turn, then recurse.
+
+        `room` is the ballot limit for rows 0..j: `slack` plus the previous
+        letter's cells in rows 0..j-1, less the cells already placed.
+        """
+        hi = caps[j]
+        if remaining < hi:
+            hi = remaining
+        if room < hi:
+            hi = room
+        lo = remaining - suffix[j + 1]
+        if lo < 0:
+            lo = 0
+        old = grown[j]
+        for c in range(hi, lo - 1, -1):
+            counts[j] = c
+            grown[j] = old + c
+            if c == remaining:
+                key = (tuple(grown), tuple(counts))
+                nxt[key] = nxt.get(key, 0) + mult
+            else:
+                place(j + 1, remaining - c, room - c + prev[j])
+        counts[j] = 0
+        grown[j] = old
+
     for m in q:
         nxt = {}
         for (shape, prev), mult in states.items():
             if slack + sum(prev[:-1]) < m:    # the ballot limit leaves too little room
                 continue
-            # row j may grow to the lower of the old row above it and bound[j]
+            # row j may grow to the lower of the old row above it and bound[j];
+            # suffix[j] is what rows j.. can hold, to cut a branch that cannot finish
             caps = [(a if a < b else b) - s for a, b, s in zip(bound[:1] + shape, bound, shape)]
-            strips = []
-            _add_strips(caps, m, prev, slack, strips)
-            for cnt in strips:
-                key = (tuple(map(add, shape, cnt)), cnt)
-                nxt[key] = nxt.get(key, 0) + mult
+            suffix = list(accumulate(reversed(caps), initial=0))[::-1]
+            if suffix[0] >= m:
+                grown[:] = shape
+                place(0, m, slack)
         states = nxt
         slack = 0
     out: dict[Partition, int] = {}
@@ -131,22 +129,23 @@ def coinvariant_rank(r: int, weights: Sequence[SlWeight]):
     """
     weights = tuple(weights)
     _check_ranks(r, weights)
-    total = sum(w.size for w in weights)
+    parts = [w.parts for w in weights]
+    total = sum(map(sum, parts))
     if total % (r + 1):
         return 0
     width = total // (r + 1)
-    if any(w.row(1) > width for w in weights):
+    if any(p and p[0] > width for p in parts):
         return 0
     # every partial product only grows, so shapes outside the box are dropped
     box = (width,) * (r + 1)
-    h = len(weights) // 2
+    h = len(parts) // 2
     halves = []
-    for half in (weights[:h], weights[h:][::-1]):
-        acc = {half[0].parts if half else (): 1}
-        for w in half[1:]:
+    for half in (parts[:h], parts[h:][::-1]):
+        acc = {half[0] if half else (): 1}
+        for q in half[1:]:
             nxt: dict[Partition, int] = {}
             for shape, mult in acc.items():
-                for u, m in _lr_mult(shape, w.parts, r + 1, box).items():
+                for u, m in _lr_mult(shape, q, r + 1, box).items():
                     nxt[u] = nxt.get(u, 0) + mult * m
             acc = nxt
         halves.append(acc)

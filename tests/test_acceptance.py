@@ -368,7 +368,7 @@ def test_14_both_rank_routes_at_user_scale():
 def test_15_sl3_ladder_at_user_scale():
     # six copies of k*w1 at level 2k, one level above critical, where both
     # routes must agree; wide alcoves of the size users run, not toy inputs
-    for k, expected in ((25, 41301), (50, 586976)):
+    for k, expected in ((25, 41301), (50, 586976), (100, 8847701)):
         ws = parse_weight_list(",".join([f"{k}w1"] * 6), 2)
         assert cb_rank(BlockSetup(2, 2 * k, ws)) == expected
         assert coinvariant_rank(2, ws) == expected

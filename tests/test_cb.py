@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cblocks.cb import (
     BlockSetup,
+    _alcove_reduce,
     _fusion_expand_cached,
     cb_rank,
     casimir,
@@ -21,7 +22,7 @@ from cblocks.cb import (
     witten_rank,
 )
 from cblocks.errors import DomainError
-from cblocks.schur import coinvariant_rank
+from cblocks.schur import _lr_mult, coinvariant_rank
 from cblocks.young import SlWeight, dual_star, weight_from_fundamental
 from strategies import weight_tuples
 
@@ -90,6 +91,36 @@ def test_fusion_examples():
 def test_fusion_expand_small():
     assert dict(_fusion_expand_cached(2, 1, (1,), (1,))) == {(1, 1): 1}
     assert dict(_fusion_expand_cached(2, 1, (1,), (1, 1))) == {(): 1}
+
+
+def _reference_fusion_expand(r, level, p, q):
+    """The fusion product with every constituent sent through the reflection loop."""
+    acc = {}
+    for u, mult in _lr_mult(p, q, r + 1).items():
+        red = _alcove_reduce(u, r, level)
+        if red is None:
+            continue
+        parts, s = red
+        acc[parts] = acc.get(parts, 0) + s * mult
+    return tuple(sorted((parts, c) for parts, c in acc.items() if c))
+
+
+def test_fusion_expand_matches_always_reflect():
+    # every kind of constituent must occur: inside the alcove with and without
+    # a full last row, reflected into it, and on a wall
+    kinds = set()
+    for r, level in product((1, 2, 3), (1, 2, 3, 4)):
+        pool = [w.parts for w in level_weights(r, level)]
+        for p, q in product(pool, repeat=2):
+            assert _fusion_expand_cached(r, level, p, q) == _reference_fusion_expand(
+                r, level, p, q), (r, level, p, q)
+            for u in _lr_mult(p, q, r + 1):
+                last = u[r] if len(u) > r else 0
+                if not u or u[0] - last <= level:
+                    kinds.add("inside, full" if last else "inside")
+                else:
+                    kinds.add("wall" if _alcove_reduce(u, r, level) is None else "reflected")
+    assert kinds == {"inside", "inside, full", "reflected", "wall"}
 
 
 def test_cb_rank_table_values():

@@ -98,6 +98,10 @@ def test_rim_hook_examples():
     assert rim_hook_reduce((4, 1), GrassmannBox(2, 4)) is None
     with pytest.raises(DomainError):
         rim_hook_reduce((1, 1, 1), GrassmannBox(2, 4))
+    # the public entry point canonicalises and validates its partition
+    assert rim_hook_reduce((4, 0, 0), GrassmannBox(2, 4)) == ((), 1, -1)
+    with pytest.raises(DomainError):
+        rim_hook_reduce((1, 2), GrassmannBox(2, 4))
 
 
 def test_projective_line_ring():

@@ -1,7 +1,7 @@
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cblocks.cb import level_weights
@@ -24,6 +24,87 @@ def lr_coefficient(lam, mu, nu):
     if any(row(lam, a) > row(nu, a) for a in range(1, len(lam) + 1)):
         return 0
     return _lr_mult(lam, mu, max(len(nu), 1), nu).get(nu, 0)
+
+
+def _add_strips(caps, amount, prev, slack, out):
+    """Append to `out` the per-row counts of every strip of `amount` > 0 cells.
+
+    `caps[j]` bounds row j (horizontal-strip and outer-shape limits, fixed
+    for the state).  `prev` holds the previous letter's per-row counts and
+    carries the ballot limit: the cells placed in rows 0..j may not exceed
+    `slack` plus the previous letter's cells in rows 0..j-1.
+    """
+    suffix = list(accumulate(reversed(caps), initial=0))[::-1]
+    if suffix[0] < amount:
+        return
+    counts = [0] * len(caps)
+
+    def place(j, remaining, slack):
+        hi = min(caps[j], remaining, slack)
+        lo = max(remaining - suffix[j + 1], 0)
+        for c in range(hi, lo - 1, -1):
+            counts[j] = c
+            if c == remaining:
+                out.append(tuple(counts))
+            else:
+                place(j + 1, remaining - c, slack - c + prev[j])
+        counts[j] = 0
+
+    place(0, amount, slack)
+
+
+def _reference_lr_mult(p, q, row_bound, outer=None):
+    """The LR kernel as it was before strips went straight into the state
+    table: each state's strips are first collected in a list."""
+    if len(p) > row_bound or len(q) > row_bound:
+        return {}
+    rows = row_bound
+    total = sum(p) + sum(q)
+    if outer is not None:
+        rows = min(rows, len(outer))
+        if len(p) > rows or any(a > b for a, b in zip(p, outer)):
+            return {}
+        bound = outer[:rows]
+    else:
+        bound = (total,) * rows
+    if sum(bound) < total:
+        return {}
+    states = {(p + (0,) * (rows - len(p)), (0,) * rows): 1}
+    slack = q[0] if q else 0
+    for m in q:
+        nxt = {}
+        for (shape, prev), mult in states.items():
+            if slack + sum(prev[:-1]) < m:
+                continue
+            caps = [min(a, b) - s for a, b, s in zip(bound[:1] + shape, bound, shape)]
+            strips = []
+            _add_strips(caps, m, prev, slack, strips)
+            for cnt in strips:
+                key = (tuple(a + c for a, c in zip(shape, cnt)), cnt)
+                nxt[key] = nxt.get(key, 0) + mult
+        states = nxt
+        slack = 0
+    out = {}
+    for (shape, _), mult in states.items():
+        shape = partition(shape)
+        out[shape] = out.get(shape, 0) + mult
+    return out
+
+
+# the examples reach each early return: p or q with too many rows, p outside
+# `outer` (too many rows or a row too long), and `outer` too small to hold the cells
+@settings(max_examples=300)
+@example((1, 1, 1), (1,), 2, None)
+@example((1,), (1, 1, 1), 2, None)
+@example((1, 1, 1), (1,), 3, (2, 2))
+@example((3,), (1,), 3, (2, 2))
+@example((1,), (1, 1), 3, (1, 1))
+@given(boxed_partitions(max_rows=5, max_width=5), boxed_partitions(max_rows=5, max_width=5),
+       st.integers(min_value=1, max_value=5),
+       st.none() | boxed_partitions(max_rows=5, max_width=8))
+def test_lr_mult_matches_reference(p, q, row_bound, outer):
+    assert _lr_mult.__wrapped__(p, q, row_bound, outer) == _reference_lr_mult(
+        p, q, row_bound, outer)
 
 
 def test_lr_examples():
