@@ -282,8 +282,9 @@ def partner(setup: BlockSetup, force: bool = False) -> PartnerData:
 
     The source must sit exactly at its critical level; `force` skips that
     precondition.  Whenever the source is at its critical level, forced or
-    not, rank_source + rank_partner must equal rank_classical, and a failure
-    raises ConsistencyError.
+    not, rank_source + rank_partner must equal rank_classical, and on four
+    points the degree on the four-point line must equal the partner's; a
+    failure raises ConsistencyError.
     """
     c = critical_level(setup.r, setup.weights)
     at_critical = (c == setup.level)
@@ -298,6 +299,12 @@ def partner(setup: BlockSetup, force: bool = False) -> PartnerData:
     if at_critical and rank_source + rank_partner != rank_classical:
         raise ConsistencyError(
             f"rank identity failed: {rank_source} + {rank_partner} != {rank_classical}")
+    if at_critical and setup.n == 4:
+        degree = degree_m04(setup.r, setup.level, setup.weights).degree
+        degree_partner = degree_m04(other.r, other.level, other.weights).degree
+        if degree != degree_partner:
+            raise ConsistencyError(
+                f"degree identity failed at the critical level: {degree} != {degree_partner}")
     return PartnerData(setup, other, rank_source, rank_partner, rank_classical)
 
 

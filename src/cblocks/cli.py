@@ -182,10 +182,16 @@ def _cmd_degree(ns) -> ResultDocument:
 
 
 def _cmd_vanish(ns) -> ResultDocument:
-    from .cb import BlockSetup, vanishing_report
+    from .cb import BlockSetup, degree_m04, vanishing_report
 
     ws, params = _weights_and_echo(ns)
     rep = vanishing_report(BlockSetup(ns.r, ns.level, ws))
+    if len(ws) == 4 and (rep.above_critical or rep.above_theta):
+        degree = degree_m04(ns.r, ns.level, ws).degree
+        if degree:
+            bound = "critical" if rep.above_critical else "theta"
+            raise ConsistencyError(
+                f"degree {degree} != 0 above a vanishing bound ({bound} level)")
     results = {
         "critical_level": "undefined" if rep.critical_level is None else str(rep.critical_level),
         "theta_level": str(rep.theta_level),

@@ -17,18 +17,32 @@ moves beta_a - n down to its place.
 
 Input is validated once, at the public boundary: rim_hook_reduce
 canonicalises its partition and checks the row count, then runs the one
-removal loop (_remove_rim_hooks).  _quantum_mult hands that loop the LR
+removal loop (_remove_rim_hooks).  The product code hands that loop the LR
 kernel's constituents directly, since the kernel already returns canonical
 shapes with at most k rows.  A shape whose first row is at most n - k is
 in the box and comes back as it is, with no hooks and sign +1, before any
 beta numbers are built.
 
-The product of two Schubert classes, already reduced into the box, is
-cached per pair (_quantum_mult).  Its LR expansion adds one horizontal strip
-per row of the second factor, so the factor with fewer rows and cells goes
-second.  quantum_product and gw_invariant both expand over plain
-{(shape, q_degree): coeff} dicts through that cache; gw_invariant folds its
-classes in from the left and reads off the q^d point-class coefficient.
+Products use the cyclic symmetry of QH*(Gr(k, n)) (Agnihotri-Woodward,
+"Eigenvalues of products of unitary matrices and quantum Schubert
+calculus", 1998; Postnikov, "Affine approach to quantum Schubert calculus",
+Duke Math. J. 2005): multiplying by T = sigma_(n-k) permutes the Schubert
+basis up to powers of q.  On beta numbers one T step sends every beta to
+beta - 1 mod n and costs one q unless 0 is a beta (then the top row n - k
+is added instead); a full turn costs q^(n-k).  An orbit may close after a
+divisor of n steps (in Gr(2,4), sigma_(1) and sigma_(2,1) form one of
+length 2).  Each shape p has its orbit data (p0, a, e): p0 is the smallest
+shape of its T-orbit by (size, shape) and T^a sigma_p0 = q^e sigma_p.  So
+sigma_p * sigma_q = q^(-e-f) T^(a+b) (sigma_p0 * sigma_q0), and only the
+representatives' product is an LR expansion reduced by rim hooks
+(_orbit_mult).  _quantum_mult rotates its terms, checks that each q degree
+comes out non-negative, and caches the result per pair; its output does not
+depend on the order of the factors.  The LR expansion adds one horizontal
+strip per row of the second factor, so the representative with fewer rows
+and cells goes second.  quantum_product and gw_invariant both expand over
+plain {(shape, q_degree): coeff} dicts through that cache; gw_invariant
+folds its classes in from the left and reads off the q^d point-class
+coefficient.
 """
 
 from __future__ import annotations
@@ -36,7 +50,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from functools import lru_cache
 
-from .errors import DomainError
+from .errors import ConsistencyError, DomainError
 from .schur import _lr_mult
 from .young import Partition, fits_box, partition
 
@@ -163,22 +177,76 @@ class QClass:
 
 
 @lru_cache(maxsize=None)
-def _quantum_mult(p: Partition, q: Partition, box: GrassmannBox) -> tuple:
-    """sigma_p * sigma_q as (((shape, q_degree), coeff), ...), zeros absent.
+def _orbit(p: Partition, box: GrassmannBox) -> tuple:
+    """(p0, a, e, turn) for the T-orbit of sigma_p, T = sigma_(n-k).
 
-    The LR expansion is not cached on its own (this cache already holds the
-    product), and it adds one strip per row of its second factor, so the
-    factor with fewer rows and cells goes second.
+    turn[j] = (u, g) says T^j sigma_p = q^g sigma_u for j = 0..n-1; p0 is
+    the smallest shape of the orbit by (size, shape) and T^a sigma_p0 =
+    q^e sigma_p with 0 <= a < n.  One entry per shape, each holding its n
+    rotations, so at most (shapes in the box) x n rotations per box.
     """
-    if (len(p), sum(p), p) < (len(q), sum(q), q):
-        p, q = q, p
+    k, n = box.k, box.n
+    betas = [x + k - a for a, x in enumerate(p + (0,) * (k - len(p)), start=1)]
+    g = 0
+    turn = []
+    for _ in range(n):
+        shape = [x - k + a for a, x in enumerate(betas, start=1)]
+        while shape and not shape[-1]:
+            shape.pop()
+        turn.append((tuple(shape), g))
+        if betas[-1]:
+            g += 1
+            betas = [x - 1 for x in betas]
+        else:
+            betas = [n - 1] + [x - 1 for x in betas[:-1]]
+    j = min(range(n), key=lambda i: (sum(turn[i][0]), turn[i][0]))
+    # T^(n-j) T^j sigma_p = q^(n-k) sigma_p
+    e = n - k - turn[j][1] if j else 0
+    return turn[j][0], -j % n, e, tuple(turn)
+
+
+@lru_cache(maxsize=None)
+def _orbit_mult(p0: Partition, q0: Partition, box: GrassmannBox) -> tuple:
+    """sigma_p0 * sigma_q0 for two orbit representatives, reduced into the box.
+
+    Returns (((shape, q_degree), coeff), ...), zeros absent.  _quantum_mult
+    calls it with the factor of fewer rows and cells second, since the LR
+    expansion adds one strip per row of its second factor.  Keys are pairs of
+    orbit representatives, so at most o^2 entries per box for o orbits.
+    """
     acc: dict[tuple[Partition, int], int] = {}
-    for u, m in _lr_mult.__wrapped__(p, q, box.k).items():
+    for u, m in _lr_mult.__wrapped__(p0, q0, box.k).items():
         red = _remove_rim_hooks(u, box)
         if red is not None:
             shape, d, sign = red
             acc[shape, d] = acc.get((shape, d), 0) + sign * m
     return tuple((key, c) for key, c in acc.items() if c)
+
+
+@lru_cache(maxsize=None)
+def _quantum_mult(p: Partition, q: Partition, box: GrassmannBox) -> tuple:
+    """sigma_p * sigma_q as (((shape, q_degree), coeff), ...), zeros absent.
+
+    With T^a sigma_p0 = q^e sigma_p and T^b sigma_q0 = q^f sigma_q, the
+    product is q^(-e-f) T^(a+b) (sigma_p0 * sigma_q0): the representatives'
+    product rotated term by term.
+    """
+    p0, a, e, _ = _orbit(p, box)
+    q0, b, f, _ = _orbit(q, box)
+    if (len(p0), sum(p0), p0) < (len(q0), sum(q0), q0):
+        p0, q0 = q0, p0
+    k, n = box.k, box.n
+    turns, m = divmod(a + b, n)
+    shift = turns * (n - k) - e - f
+    out = []
+    for (u, d), c in _orbit_mult(p0, q0, box):
+        v, g = _orbit(u, box)[3][m]
+        d += g + shift
+        if d < 0:
+            raise ConsistencyError(
+                f"sigma_{p} * sigma_{q} in Gr({k},{n}): term sigma_{v} has q degree {d}")
+        out.append(((v, d), c))
+    return tuple(out)
 
 
 def _product(a, b, box: GrassmannBox) -> dict[tuple[Partition, int], int]:

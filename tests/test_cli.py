@@ -312,3 +312,48 @@ def test_vanish_below_both_levels_reports_unequal_ranks():
                           "--weights", "w1,w1,w1,w1,w1,w1")
     assert code == 0
     assert "ranks_equal     false" in out
+
+
+def _shift_degree(monkeypatch, when):
+    """Patch cb.degree_m04 to report one more than the true degree where `when` holds."""
+    from cblocks import cb
+
+    real = cb.degree_m04
+
+    def shifted(r, level, weights):
+        br = real(r, level, weights)
+        if not when(r, level):
+            return br
+        return cb.DegreeBreakdown(br.degree + 1, br.bulk_term, br.pairing_terms)
+
+    monkeypatch.setattr(cb, "degree_m04", shifted)
+
+
+@pytest.mark.parametrize("r, level, weights, bound", [
+    ("1", "2", "w1,w1,w1,w1", "critical"),   # critical level 1
+    ("2", "2", "w1,w1,w1,w2", "theta"),      # critical level undefined, theta level 1
+])
+def test_vanish_nonzero_degree_above_a_bound_exits_3(monkeypatch, r, level, weights, bound):
+    code, out, _ = invoke("vanish", "--r", r, "--level", level, "--weights", weights)
+    assert code == 0
+    _shift_degree(monkeypatch, lambda r, level: True)
+    code, out, err = invoke("vanish", "--r", r, "--level", level, "--weights", weights)
+    assert code == 3
+    assert out == ""
+    assert f"degree 1 != 0 above a vanishing bound ({bound} level)" in err
+
+
+def test_vanish_checks_no_degree_at_or_below_both_levels(monkeypatch):
+    _shift_degree(monkeypatch, lambda r, level: True)
+    code, out, _ = invoke("vanish", "--r", "2", "--level", "1", "--weights", "w1,w1,w2,w2")
+    assert code == 0
+    assert "above_critical  false" in out and "above_theta     false" in out
+
+
+def test_partner_degree_disagreement_at_critical_exits_3(monkeypatch):
+    # sl3 at level 1 is critical for w1,w1,w2,w2; its partner is sl2 at level 2
+    _shift_degree(monkeypatch, lambda r, level: r == 1)
+    code, out, err = invoke("partner", "--r", "2", "--level", "1", "--weights", "w1,w1,w2,w2")
+    assert code == 3
+    assert out == ""
+    assert "degree identity failed at the critical level: 1 != 2" in err

@@ -8,6 +8,8 @@ from cblocks.errors import DomainError
 from cblocks.qgrass import (
     GrassmannBox,
     QClass,
+    _orbit,
+    _orbit_mult,
     _quantum_mult,
     gw_invariant,
     quantum_product,
@@ -233,3 +235,73 @@ def test_cyclic_symmetry():
                 else:
                     expected = ((partition(x - 1 for x in lam), 1), 1)
                 assert product.terms == (expected,)
+
+
+# every ordered pair of shapes in these boxes; Gr(2,4), Gr(2,6), Gr(3,6) and
+# Gr(4,8) have T-orbits shorter than n
+_EXHAUSTIVE_BOXES = ((1, 2), (1, 3), (1, 4), (2, 4), (2, 5), (2, 6), (3, 6), (2, 7),
+                     (3, 7), (4, 8))
+
+
+def test_quantum_mult_matches_reference_exhaustively():
+    pairs = 0
+    for k, n in _EXHAUSTIVE_BOXES:
+        box = GrassmannBox(k, n)
+        shapes = _box_shapes(k, n - k)
+        for p in shapes:
+            for q in shapes:
+                assert dict(_quantum_mult(p, q, box)) == _reference_quantum_mult(p, q, box), \
+                    (box, p, q)
+                pairs += 1
+    assert pairs == 7356
+
+
+def _rotate(p, m, box):
+    """T^m sigma_p = q^g sigma_u as (u, g), for any m >= 0, one step at a time."""
+    g = 0
+    for _ in range(m):
+        p, step = _orbit(p, box)[3][1]
+        g += step
+    return p, g
+
+
+def test_rotation_laws():
+    for k in range(1, 5):
+        for width in range(1, 6):
+            box = GrassmannBox(k, k + width)
+            n = box.n
+            for lam in _box_shapes(k, width):
+                turn = _orbit(lam, box)[3]
+                assert len(turn) == n and turn[0] == (lam, 0)
+                # one step is test_cyclic_symmetry's single-term rule
+                if len(lam) < k:
+                    assert turn[1] == ((width,) + lam, 0)
+                else:
+                    assert turn[1] == (partition(x - 1 for x in lam), 1)
+                # a full turn costs q^(n-k)
+                assert _rotate(lam, n, box) == (lam, width)
+                # T^a T^b = T^(a+b), the rotation table read past one turn
+                for a in range(n):
+                    u, g = turn[a]
+                    for b in range(n):
+                        v, h = _orbit(u, box)[3][b]
+                        w, f = turn[(a + b) % n]
+                        assert (v, g + h) == (w, f + width * ((a + b) // n))
+                # the orbit data reproduces lam from the smallest shape of its orbit
+                p0, a, e, _ = _orbit(lam, box)
+                assert (sum(p0), p0) == min((sum(u), u) for u, _ in turn)
+                assert 0 <= a < n and e >= 0
+                assert _orbit(p0, box)[3][a] == (lam, e)
+
+
+def test_products_expand_only_orbit_representatives():
+    box = GrassmannBox(3, 7)   # 35 shapes in 5 orbits of length 7
+    shapes = _box_shapes(3, 4)
+    assert len({_orbit(p, box)[0] for p in shapes}) == 5
+    _quantum_mult.cache_clear()
+    _orbit_mult.cache_clear()
+    for p in shapes:
+        for q in shapes:
+            _quantum_mult(p, q, box)
+    assert _quantum_mult.cache_info().currsize == 35 * 35
+    assert _orbit_mult.cache_info().currsize <= 5 * 5
