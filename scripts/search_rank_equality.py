@@ -13,7 +13,7 @@ import argparse
 import random
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -31,7 +31,8 @@ class SearchConfig:
     min_points: int = 3
     max_points: int = 6
     max_size: int = 6
-    show: int = 8
+    show: int = field(default=8,
+                      metadata={"help": "how many unexplained hits to print in full"})
 
 
 def random_partition(rng, max_rows, max_size, max_first):
@@ -76,19 +77,10 @@ def describe(setup):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    defaults = SearchConfig()
-    parser.add_argument("--samples", type=int, default=defaults.samples)
-    parser.add_argument("--seed", type=int, default=defaults.seed)
-    parser.add_argument("--max-rank", type=int, default=defaults.max_rank)
-    parser.add_argument("--max-level", type=int, default=defaults.max_level)
-    parser.add_argument("--min-points", type=int, default=defaults.min_points)
-    parser.add_argument("--max-points", type=int, default=defaults.max_points)
-    parser.add_argument("--max-size", type=int, default=defaults.max_size)
-    parser.add_argument("--show", type=int, default=defaults.show,
-                        help="how many unexplained hits to print in full")
-    ns = parser.parse_args(argv)
-    cfg = SearchConfig(ns.samples, ns.seed, ns.max_rank, ns.max_level,
-                       ns.min_points, ns.max_points, ns.max_size, ns.show)
+    for f in fields(SearchConfig):
+        parser.add_argument("--" + f.name.replace("_", "-"), type=f.type, default=f.default,
+                            help=f.metadata.get("help"))
+    cfg = SearchConfig(**vars(parser.parse_args(argv)))
 
     rng = random.Random(cfg.seed)
     explained = below_and_equal = below_and_strict = 0

@@ -29,9 +29,11 @@ alcove reflections against one Gromov-Witten number.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 from .errors import ConsistencyError, DomainError
 from .schur import _lr_mult, coinvariant_rank
@@ -77,22 +79,11 @@ class BlockSetup:
         return len(self.weights)
 
 
-def _box_partitions(rows: int, width: int):
-    if rows == 0:
-        yield ()
-        return
-    for first in range(width + 1):
-        for rest in _box_partitions(rows - 1, first):
-            out = (first,) + rest
-            while out and out[-1] == 0:
-                out = out[:-1]
-            yield out
-
-
 @lru_cache(maxsize=None)
 def level_weights(r: int, level: int) -> tuple:
     """All weights of sl_{r+1} at the given level, in lexicographic order."""
-    shapes = sorted(set(_box_partitions(r, level)))
+    shapes = sorted(tuple(x for x in rows if x)
+                    for rows in combinations_with_replacement(range(level, -1, -1), r))
     return tuple(SlWeight(r, s) for s in shapes)
 
 
@@ -263,18 +254,9 @@ def vanishing_report(setup: BlockSetup) -> VanishingReport:
     return VanishingReport(c, t, above_critical, above_theta, rank_a, rank_v, rank_a == rank_v)
 
 
-class PartnerData:
-    """A setup, its transpose partner, and the three ranks of the identity."""
-
-    __slots__ = ("source", "partner", "rank_source", "rank_partner", "rank_classical")
-
-    def __init__(self, source: BlockSetup, partner: BlockSetup,
-                 rank_source: int, rank_partner: int, rank_classical: int):
-        self.source = source
-        self.partner = partner
-        self.rank_source = rank_source
-        self.rank_partner = rank_partner
-        self.rank_classical = rank_classical
+PartnerData = namedtuple(
+    "PartnerData", "source partner rank_source rank_partner rank_classical")
+PartnerData.__doc__ = "A setup, its transpose partner, and the three ranks of the identity."
 
 
 def partner(setup: BlockSetup, force: bool = False) -> PartnerData:
@@ -328,15 +310,9 @@ def factorization_rank(setup: BlockSetup, subset) -> int:
     return total
 
 
-class DegreeBreakdown:
-    """Degree on the four-point line, its bulk term and its three split terms."""
-
-    __slots__ = ("degree", "bulk_term", "pairing_terms")
-
-    def __init__(self, degree: int, bulk_term: Fraction, pairing_terms: tuple):
-        self.degree = degree
-        self.bulk_term = bulk_term
-        self.pairing_terms = pairing_terms  # one Fraction per two-plus-two split, fixed order
+DegreeBreakdown = namedtuple("DegreeBreakdown", "degree bulk_term pairing_terms")
+DegreeBreakdown.__doc__ = """Degree on the four-point line, its bulk term and its three
+split terms (one Fraction per two-plus-two split, in the order of _SPLITS)."""
 
 
 # splits of four points, as ((a,b),(c,d)) index pairs into the weight tuple

@@ -21,7 +21,7 @@ import time
 
 from . import __version__
 from .errors import ConsistencyError, DomainError, ParseError
-from .young import parse_partition, parse_weight_list, transpose, weight_text
+from .young import parse_partition, parse_weight_list, weight_text
 
 
 class ResultDocument:
@@ -290,22 +290,16 @@ _TABLE_CELLS = ("deg", "rank_classical", "rank_cb", "rank_transpose")
 def _table_row(entry):
     """The computed cells of one reference row, and the expected value of each
     cell that differs from its computed one."""
-    from .cb import BlockSetup, cb_rank, degree_m04
-    from .schur import coinvariant_rank
+    from .cb import BlockSetup, degree_m04, partner
 
     deg_expected, r, level, weight_texts, rka, rkv, rkt = entry
     ws = parse_weight_list(",".join(weight_texts), r)
-    setup = BlockSetup(r, level, ws)
-    flipped = BlockSetup(level, r, tuple(transpose(w, level) for w in ws))
-    if len(ws) == 4:
-        deg = str(degree_m04(r, level, ws).degree)
-    else:
-        deg = "*"
+    data = partner(BlockSetup(r, level, ws))
     computed = {
-        "deg": deg,
-        "rank_classical": str(coinvariant_rank(r, ws)),
-        "rank_cb": str(cb_rank(setup)),
-        "rank_transpose": str(cb_rank(flipped)),
+        "deg": str(degree_m04(r, level, ws).degree) if len(ws) == 4 else "*",
+        "rank_classical": str(data.rank_classical),
+        "rank_cb": str(data.rank_source),
+        "rank_transpose": str(data.rank_partner),
     }
     wrong = {cell: want for cell, want in zip(_TABLE_CELLS, (deg_expected, rka, rkv, rkt))
              if computed[cell] != want}

@@ -6,6 +6,7 @@ ever consulted.  The bridge to the rank world lives in the test suites.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 
@@ -13,15 +14,15 @@ from .errors import DomainError, ParseError
 from .young import SlWeight, fits_level, theta_pairing
 
 
-class FCurve:
+class FCurve(namedtuple("FCurve", "blocks")):
     """A partition of the marked points {1..n} into four non-empty blocks.
 
     Curves compare and hash by their blocks, in order.
     """
 
-    __slots__ = ("blocks",)
+    __slots__ = ()
 
-    def __init__(self, blocks):
+    def __new__(cls, blocks):
         blocks = tuple(frozenset(int(i) for i in b) for b in blocks)
         if len(blocks) != 4:
             raise DomainError(f"need exactly 4 blocks, got {len(blocks)}")
@@ -33,18 +34,7 @@ class FCurve:
         n = len(union)
         if union != frozenset(range(1, n + 1)):
             raise DomainError(f"blocks must cover 1..{n} exactly, got {sorted(union)}")
-        self.blocks = blocks  # four frozensets of 1-based indices
-
-    def __eq__(self, other):
-        if other.__class__ is not FCurve:
-            return NotImplemented
-        return self.blocks == other.blocks
-
-    def __hash__(self):
-        return hash(self.blocks)
-
-    def __repr__(self):
-        return f"FCurve(blocks={self.blocks!r})"
+        return super().__new__(cls, blocks)  # four frozensets of 1-based indices
 
     @property
     def n(self) -> int:
@@ -95,19 +85,19 @@ def contracts_theta(level: int, weights: Sequence[SlWeight], f: FCurve) -> bool:
     return sum(sums[:3]) <= level + 1
 
 
-class HassettWeights:
+class HassettWeights(namedtuple("HassettWeights", "weights")):
     """Rational weight data for a moduli space of weighted pointed lines."""
 
-    __slots__ = ("weights",)
+    __slots__ = ()
 
-    def __init__(self, weights):
+    def __new__(cls, weights):
         ws = tuple(Fraction(a) for a in weights)
         for i, a in enumerate(ws, start=1):
             if not 0 < a <= 1:
                 raise DomainError(f"weight a_{i} = {a} outside (0, 1]")
         if sum(ws) <= 2:
             raise DomainError(f"total weight {sum(ws)} not greater than 2")
-        self.weights = ws  # Fractions, each in (0, 1], summing to more than 2
+        return super().__new__(cls, ws)  # Fractions in (0, 1], summing to more than 2
 
     @property
     def n(self) -> int:

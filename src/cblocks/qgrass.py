@@ -47,6 +47,7 @@ coefficient.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
 from functools import lru_cache
 
@@ -55,30 +56,18 @@ from .schur import _lr_mult
 from .young import Partition, fits_box, partition
 
 
-class GrassmannBox:
+class GrassmannBox(namedtuple("GrassmannBox", "k n")):
     """Gr(k, n): k-planes in n-space; Schubert classes fit in k x (n-k).
 
     Boxes compare and hash by (k, n); _quantum_mult caches on them.
     """
 
-    __slots__ = ("k", "n")
+    __slots__ = ()
 
-    def __init__(self, k: int, n: int):
+    def __new__(cls, k: int, n: int):
         if not 0 < k < n:
             raise DomainError(f"need 0 < k < n, got k={k}, n={n}")
-        self.k = k
-        self.n = n
-
-    def __eq__(self, other):
-        if other.__class__ is not GrassmannBox:
-            return NotImplemented
-        return self.k == other.k and self.n == other.n
-
-    def __hash__(self):
-        return hash((self.k, self.n))
-
-    def __repr__(self):
-        return f"GrassmannBox(k={self.k!r}, n={self.n!r})"
+        return super().__new__(cls, k, n)
 
     @property
     def width(self) -> int:
@@ -89,20 +78,18 @@ class GrassmannBox:
         return (self.width,) * self.k
 
 
-def rim_hook_reduce(p: Partition, box: GrassmannBox, _choose=None):
-    """Push p into the box by removing n-rim-hooks.
+def rim_hook_reduce(p: Partition, box: GrassmannBox):
+    """Push p into the box by removing n-rim-hooks, always from the largest beta.
 
     Returns (partition, hooks_removed, sign) or None for the zero class.
-    `_choose` overrides the removal strategy (used by tests to confirm order
-    independence); the default always removes from the largest beta.
     """
     p = partition(p)
     if len(p) > box.k:
         raise DomainError(f"{p} has more than k={box.k} rows")
-    return _remove_rim_hooks(p, box, _choose)
+    return _remove_rim_hooks(p, box)
 
 
-def _remove_rim_hooks(p: Partition, box: GrassmannBox, choose=None):
+def _remove_rim_hooks(p: Partition, box: GrassmannBox):
     """rim_hook_reduce on a canonical partition with at most k rows."""
     k, n = box.k, box.n
     if not p or p[0] <= n - k:
@@ -111,20 +98,16 @@ def _remove_rim_hooks(p: Partition, box: GrassmannBox, choose=None):
     d = 0
     sign = 1
     while betas[0] >= n:
-        if choose is None:
-            i = 0
-        else:
-            i = betas.index(choose(sorted(x for x in betas if x >= n)))
-        b = betas[i] - n
-        # j: first position holding a beta at most b; the hook passes i+1..j-1
-        j = i + 1
+        b = betas[0] - n
+        # j: first position holding a beta at most b; the hook passes 1..j-1
+        j = 1
         while j < k and betas[j] > b:
             j += 1
         if j < k and betas[j] == b:
             return None
-        if (k - j + i) % 2:
+        if (k - j) % 2:
             sign = -sign
-        betas[i:j] = betas[i + 1:j] + [b]
+        betas[:j] = betas[1:j] + [b]
         d += 1
     shape = [x - k + a for a, x in enumerate(betas, start=1)]
     while shape and not shape[-1]:
@@ -132,15 +115,15 @@ def _remove_rim_hooks(p: Partition, box: GrassmannBox, choose=None):
     return tuple(shape), d, sign
 
 
-class QClass:
+class QClass(namedtuple("QClass", "box terms")):
     """Integer combination of q-shifted Schubert classes of a fixed box.
 
     Classes compare and hash by (box, terms).
     """
 
-    __slots__ = ("box", "terms")
+    __slots__ = ()
 
-    def __init__(self, box: GrassmannBox, terms):
+    def __new__(cls, box: GrassmannBox, terms):
         items = terms.items() if isinstance(terms, dict) else terms
         seen: dict[tuple[Partition, int], int] = {}
         for (p, d), c in items:
@@ -150,20 +133,8 @@ class QClass:
             if d < 0:
                 raise DomainError(f"negative q degree {d}")
             seen[(p, int(d))] = seen.get((p, int(d)), 0) + int(c)
-        self.box = box
         # sorted (((partition, q_degree), coeff), ...), zeros absent
-        self.terms = tuple(sorted((k, c) for k, c in seen.items() if c))
-
-    def __eq__(self, other):
-        if other.__class__ is not QClass:
-            return NotImplemented
-        return self.box == other.box and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.box, self.terms))
-
-    def __repr__(self):
-        return f"QClass(box={self.box!r}, terms={self.terms!r})"
+        return super().__new__(cls, box, tuple(sorted((k, c) for k, c in seen.items() if c)))
 
     @classmethod
     def of(cls, box: GrassmannBox, p, q_degree: int = 0) -> "QClass":
@@ -171,9 +142,6 @@ class QClass:
 
     def coefficient(self, p, q_degree: int) -> int:
         return dict(self.terms).get((partition(p), q_degree), 0)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
 
 @lru_cache(maxsize=None)

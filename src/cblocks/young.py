@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Sequence
-from functools import total_ordering
 
 from .errors import DomainError, ParseError
 
@@ -47,14 +46,12 @@ def fits_box(p: Partition, rows: int, width: int) -> bool:
     return len(p) <= rows and row(p, 1) <= width
 
 
-@total_ordering
 class SlWeight:
     """Dominant integral weight of sl_{rank+1} as a normalized diagram.
 
     Construction accepts any diagram with at most rank+1 rows and subtracts
     the last row when all rank+1 rows are occupied, so every value held by
-    this type is already normalized.  Weights compare, order and hash by
-    (rank, parts).
+    this type is already normalized.  Weights compare and hash by (rank, parts).
     """
 
     __slots__ = ("rank", "parts")
@@ -76,11 +73,6 @@ class SlWeight:
         if other.__class__ is not SlWeight:
             return NotImplemented
         return self.rank == other.rank and self.parts == other.parts
-
-    def __lt__(self, other):
-        if other.__class__ is not SlWeight:
-            return NotImplemented
-        return (self.rank, self.parts) < (other.rank, other.parts)
 
     def __hash__(self):
         return hash((self.rank, self.parts))

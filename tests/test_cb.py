@@ -22,8 +22,10 @@ from cblocks.cb import (
     witten_rank,
 )
 from cblocks.errors import DomainError
+from cblocks.nefgeo import FCurve, HassettWeights, parse_fcurve
+from cblocks.qgrass import GrassmannBox, QClass
 from cblocks.schur import _lr_mult, coinvariant_rank
-from cblocks.young import SlWeight, dual_star, weight_from_fundamental
+from cblocks.young import SlWeight, dual_star, parse_weight_list, weight_from_fundamental
 from strategies import weight_tuples
 
 
@@ -317,3 +319,38 @@ def test_theta_average_of_critical_levels(rlw):
         assert (c is None) == (c_dual is None)
         return
     assert theta_level(r, ws) == Fraction(c + c_dual, 2)
+
+
+ROW2_SL3 = ("BlockSetup(r=2, level=1, weights=(SlWeight(sl3, [1]), SlWeight(sl3, [1]), "
+            "SlWeight(sl3, [1, 1]), SlWeight(sl3, [1, 1])))")
+ROW2_SL2 = ("BlockSetup(r=1, level=2, weights=(SlWeight(sl2, [1]), SlWeight(sl2, [1]), "
+            "SlWeight(sl2, [2]), SlWeight(sl2, [2])))")
+
+
+@pytest.mark.parametrize("make, remake, expected", (
+    (lambda: GrassmannBox(2, 4), lambda: GrassmannBox(n=4, k=2),
+     "GrassmannBox(k=2, n=4)"),
+    (lambda: QClass.of(GrassmannBox(2, 4), (1,)),
+     lambda: QClass(GrassmannBox(2, 4), {((1, 0), 0): 2, ((2,), 1): 0, ((1,), 0): -1}),
+     "QClass(box=GrassmannBox(k=2, n=4), terms=((((1,), 0), 1),))"),
+    (lambda: FCurve([[1], [2], [3], [4, 5, 6]]), lambda: parse_fcurve("1|2|3|6,5,4", 6),
+     "FCurve(blocks=(frozenset({1}), frozenset({2}), frozenset({3}), frozenset({4, 5, 6})))"),
+    (lambda: HassettWeights(["1/2", "2/3", 1]),
+     lambda: HassettWeights([Fraction(2, 4), Fraction(4, 6), Fraction(3, 3)]),
+     "HassettWeights(weights=(Fraction(1, 2), Fraction(2, 3), Fraction(1, 1)))"),
+    (lambda: partner(BlockSetup(2, 1, parse_weight_list("w1,w1,w2,w2", 2))),
+     lambda: partner(BlockSetup(2, 1, parse_weight_list("[1],[2,1,1],[1,1],[2,2,1]", 2))),
+     f"PartnerData(source={ROW2_SL3}, partner={ROW2_SL2}, "
+     "rank_source=1, rank_partner=1, rank_classical=2)"),
+    (lambda: degree_m04(2, 1, parse_weight_list("w1,w1,w2,w2", 2)),
+     lambda: degree_m04(2, 1, parse_weight_list("[1],[2,1,1],[1,1],[2,2,1]", 2)),
+     "DegreeBreakdown(degree=1, bulk_term=Fraction(4, 3), "
+     "pairing_terms=(Fraction(1, 3), Fraction(0, 1), Fraction(0, 1)))"),
+), ids=("GrassmannBox", "QClass", "FCurve", "HassettWeights", "PartnerData",
+        "DegreeBreakdown"))
+def test_value_reprs_and_equality(make, remake, expected):
+    value = make()
+    assert repr(value) == expected
+    # built from other spellings of the same value: equal, with equal hashes
+    other = remake()
+    assert other is not value and other == value and hash(other) == hash(value)
