@@ -18,6 +18,11 @@ Two independent rank algorithms are kept deliberately separate:
   cached fusion products hold ((parts, coeff), ...).  degree_m04 reads its
   split terms from the same cached products and builds an SlWeight only for
   a constituent that enters a term, to take its conformal weight.
+  Each half's vector comes from _fuse, and its keys keep the half's total
+  size mod r+1: normalising removes full columns of r+1 cells, and a
+  reflection keeps the sum of the gl tuple.  Since |mu*| = -|mu| mod r+1,
+  a left mu meets a right mu* only when r+1 divides the whole total, so
+  cb_rank returns 0 without contracting when it does not.
 
 * witten_rank evaluates one big quantum Schubert product on Gr(r+1, r+1+l)
   and reads off a single coefficient.
@@ -164,24 +169,34 @@ def _fusion_expand_cached(r: int, level: int, p: Partition, q: Partition) -> tup
     return tuple(sorted((parts, c) for parts, c in acc.items() if c))
 
 
+def _fuse(r: int, level: int, parts: Sequence[Partition]) -> dict[Partition, int]:
+    """Fusion vector {mu: multiplicity} of the diagrams `parts`, contracted
+    left to right one point at a time; {(): 1} when `parts` is empty."""
+    vec = {parts[0] if parts else (): 1}
+    for q in parts[1:]:
+        nxt: dict[Partition, int] = {}
+        for mu, c in vec.items():
+            pair = (mu, q) if mu <= q else (q, mu)
+            for nu, m in _fusion_expand_cached(r, level, *pair):
+                nxt[nu] = nxt.get(nu, 0) + c * m
+        vec = nxt
+    return vec
+
+
 def cb_rank(setup: BlockSetup):
     """Bundle rank: fuse w1..wh and wn..w(h+1), h = n // 2, into two vectors
-    and pair them at the middle node, summing left[mu] * right[mu*]."""
+    and pair them at the middle node, summing left[mu] * right[mu*].
+
+    When r+1 does not divide the total size no left mu meets a right mu*
+    (module docstring), so the rank is 0 without contracting.
+    """
     r, level = setup.r, setup.level
     parts = [w.parts for w in setup.weights]
+    if sum(map(sum, parts)) % (r + 1):
+        return 0
     h = len(parts) // 2
-    halves = []
-    for half in (parts[:h], parts[h:][::-1]):
-        vec = {half[0] if half else (): 1}
-        for q in half[1:]:
-            nxt: dict[Partition, int] = {}
-            for mu, c in vec.items():
-                pair = (mu, q) if mu <= q else (q, mu)
-                for nu, m in _fusion_expand_cached(r, level, *pair):
-                    nxt[nu] = nxt.get(nu, 0) + c * m
-            vec = nxt
-        halves.append(vec)
-    left, right = halves
+    left = _fuse(r, level, parts[:h])
+    right = _fuse(r, level, parts[h:][::-1])
     total = 0
     for mu, c in left.items():
         total += c * right.get(dual_parts(mu, r), 0)
@@ -240,23 +255,35 @@ def vanishing_report(setup: BlockSetup) -> VanishingReport:
     Above either threshold the two ranks must agree; a disagreement raises
     ConsistencyError instead of being reported.
     """
-    c = critical_level(setup.r, setup.weights)
-    t = theta_level(setup.r, setup.weights)
-    rank_a = coinvariant_rank(setup.r, setup.weights)
+    r, level = setup.r, setup.level
+    # one pass gives the total size (critical level) and the first-row sum (theta level)
+    total = first_rows = 0
+    for w in setup.weights:
+        p = w.parts
+        if p:
+            total += sum(p)
+            first_rows += p[0]
+    c = None if total % (r + 1) else total // (r + 1) - 1
+    rank_a = coinvariant_rank(r, setup.weights)
     rank_v = cb_rank(setup)
-    above_critical = c is not None and setup.level > c
-    above_theta = setup.level * t.denominator > t.numerator
+    above_critical = c is not None and level > c
+    # level > theta_level = (first_rows - 2) / 2
+    above_theta = 2 * level > first_rows - 2
     if (above_critical or above_theta) and rank_a != rank_v:
         bound = "critical" if above_critical else "theta"
         raise ConsistencyError(
             f"ranks differ above a vanishing bound ({bound} level): "
             f"classical {rank_a} != conformal blocks {rank_v}")
-    return VanishingReport(c, t, above_critical, above_theta, rank_a, rank_v, rank_a == rank_v)
+    return VanishingReport(c, Fraction(first_rows - 2, 2), above_critical, above_theta,
+                           rank_a, rank_v, rank_a == rank_v)
 
 
 PartnerData = namedtuple(
-    "PartnerData", "source partner rank_source rank_partner rank_classical")
-PartnerData.__doc__ = "A setup, its transpose partner, and the three ranks of the identity."
+    "PartnerData",
+    "source partner rank_source rank_partner rank_classical degree_source degree_partner")
+PartnerData.__doc__ = """A setup, its transpose partner, the three ranks of the identity,
+and the two four-point degrees of its check (None unless the source has four
+points and sits at its critical level)."""
 
 
 def partner(setup: BlockSetup, force: bool = False) -> PartnerData:
@@ -281,13 +308,16 @@ def partner(setup: BlockSetup, force: bool = False) -> PartnerData:
     if at_critical and rank_source + rank_partner != rank_classical:
         raise ConsistencyError(
             f"rank identity failed: {rank_source} + {rank_partner} != {rank_classical}")
+    degree_source = degree_partner = None
     if at_critical and setup.n == 4:
-        degree = degree_m04(setup.r, setup.level, setup.weights).degree
+        degree_source = degree_m04(setup.r, setup.level, setup.weights).degree
         degree_partner = degree_m04(other.r, other.level, other.weights).degree
-        if degree != degree_partner:
+        if degree_source != degree_partner:
             raise ConsistencyError(
-                f"degree identity failed at the critical level: {degree} != {degree_partner}")
-    return PartnerData(setup, other, rank_source, rank_partner, rank_classical)
+                "degree identity failed at the critical level: "
+                f"{degree_source} != {degree_partner}")
+    return PartnerData(setup, other, rank_source, rank_partner, rank_classical,
+                       degree_source, degree_partner)
 
 
 def factorization_rank(setup: BlockSetup, subset) -> int:

@@ -290,13 +290,13 @@ _TABLE_CELLS = ("deg", "rank_classical", "rank_cb", "rank_transpose")
 def _table_row(entry):
     """The computed cells of one reference row, and the expected value of each
     cell that differs from its computed one."""
-    from .cb import BlockSetup, degree_m04, partner
+    from .cb import BlockSetup, partner
 
     deg_expected, r, level, weight_texts, rka, rkv, rkt = entry
     ws = parse_weight_list(",".join(weight_texts), r)
     data = partner(BlockSetup(r, level, ws))
     computed = {
-        "deg": str(degree_m04(r, level, ws).degree) if len(ws) == 4 else "*",
+        "deg": "*" if data.degree_source is None else str(data.degree_source),
         "rank_classical": str(data.rank_classical),
         "rank_cb": str(data.rank_source),
         "rank_transpose": str(data.rank_partner),

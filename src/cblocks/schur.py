@@ -21,9 +21,12 @@ product never shrinks a shape.
 
 The coinvariant rank of a weight tuple is the coefficient of the forced
 (r+1) x width box in the product of its Schur functions.  Each half of the
-tuple is multiplied out with the box as the `outer` shape of every step, and
-the halves are joined by the box-complement pairing: s_u * s_v contains the
-box once when v is the complement of u in it, and not otherwise.
+tuple is multiplied out inside the box, and the halves are joined by the
+box-complement pairing: s_u * s_v contains the box once when v is the
+complement of u in it, and not otherwise.  A step passes the box as `outer`
+only when it can bind, that is when u[0] + q[0] exceeds its width; otherwise
+every constituent already fits, and the step shares the unbounded product's
+cache entry with other boxes and with the fusion route.
 invariant_oracle recomputes the rank by a deliberately different route
 (weight-multiplicity convolution followed by a Weyl alternating sum) and
 exists so the two can be played against each other.
@@ -136,16 +139,22 @@ def coinvariant_rank(r: int, weights: Sequence[SlWeight]):
     width = total // (r + 1)
     if any(p and p[0] > width for p in parts):
         return 0
-    # every partial product only grows, so shapes outside the box are dropped
+    # every partial product only grows, so shapes outside the box are dropped;
+    # the box binds only when some constituent's first row could pass its width
     box = (width,) * (r + 1)
     h = len(parts) // 2
     halves = []
     for half in (parts[:h], parts[h:][::-1]):
         acc = {half[0] if half else (): 1}
         for q in half[1:]:
+            q0 = q[0] if q else 0
             nxt: dict[Partition, int] = {}
             for shape, mult in acc.items():
-                for u, m in _lr_mult(shape, q, r + 1, box).items():
+                if shape and shape[0] + q0 > width:
+                    product = _lr_mult(shape, q, r + 1, box)
+                else:
+                    product = _lr_mult(shape, q, r + 1)
+                for u, m in product.items():
                     nxt[u] = nxt.get(u, 0) + mult * m
             acc = nxt
         halves.append(acc)

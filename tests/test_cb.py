@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cblocks.cb import (
     BlockSetup,
     _alcove_reduce,
+    _fuse,
     _fusion_expand_cached,
     cb_rank,
     casimir,
@@ -25,7 +26,8 @@ from cblocks.errors import DomainError
 from cblocks.nefgeo import FCurve, HassettWeights, parse_fcurve
 from cblocks.qgrass import GrassmannBox, QClass
 from cblocks.schur import _lr_mult, coinvariant_rank
-from cblocks.young import SlWeight, dual_star, parse_weight_list, weight_from_fundamental
+from cblocks.young import (
+    SlWeight, dual_parts, dual_star, parse_weight_list, weight_from_fundamental)
 from strategies import weight_tuples
 
 
@@ -162,6 +164,17 @@ def test_vanishing_reports():
     rep = vanishing_report(BlockSetup(2, 6, ROW4_WEIGHTS))
     assert rep.above_critical and rep.ranks_equal and rep.rank_cb == 7
 
+    # the report's one pass over the weights agrees with the level functions
+    for r, level in product((1, 2), (1, 2, 3)):
+        for n in (0, 3):
+            for ws in combinations_with_replacement(level_weights(r, level), n):
+                rep = vanishing_report(BlockSetup(r, level, ws))
+                c, t = critical_level(r, ws), theta_level(r, ws)
+                assert (rep.critical_level, rep.theta_level) == (c, t)
+                assert type(rep.theta_level) is Fraction
+                assert rep.above_critical == (c is not None and level > c)
+                assert rep.above_theta == (level > t)
+
 
 def test_partner_identity_table_rows():
     w1 = SlWeight(2, (1,))
@@ -284,6 +297,32 @@ def test_cb_rank_edge_arities():
                 assert cb_rank(BlockSetup(r, level, ws)) == expected
 
 
+def test_fusion_sizes_hide_nothing_from_the_divisibility_shortcut():
+    # each key of a fusion vector has size = its half's total size mod r+1, so
+    # where r+1 does not divide the total the full contraction (which cb_rank
+    # skips there) pairs the two halves to 0
+    skipped = 0
+    for r, level in product((1, 2), (1, 2)):
+        pool = [w.parts for w in level_weights(r, level)]
+        for n in (3, 4):
+            for parts in product(pool, repeat=n):
+                h = n // 2
+                halves = (parts[:h], parts[h:][::-1])
+                left, right = (_fuse(r, level, half) for half in halves)
+                for half, vec in zip(halves, (left, right)):
+                    size = sum(map(sum, half)) % (r + 1)
+                    assert all(sum(mu) % (r + 1) == size for mu in vec), (r, level, half)
+                pairing = sum(c * right.get(dual_parts(mu, r), 0) for mu, c in left.items())
+                if sum(map(sum, parts)) % (r + 1):
+                    skipped += 1
+                    assert pairing == 0, (r, level, parts)
+                else:
+                    assert pairing == cb_rank(BlockSetup(
+                        r, level, tuple(SlWeight(r, p) for p in parts)))
+    assert skipped == 1145
+    assert _fuse(2, 2, ()) == {(): 1}
+
+
 @settings(deadline=None, max_examples=60)
 @given(weight_tuples(max_rank=2, max_level=3, max_points=6))
 def test_cb_equals_witten(rlw):
@@ -341,7 +380,7 @@ ROW2_SL2 = ("BlockSetup(r=1, level=2, weights=(SlWeight(sl2, [1]), SlWeight(sl2,
     (lambda: partner(BlockSetup(2, 1, parse_weight_list("w1,w1,w2,w2", 2))),
      lambda: partner(BlockSetup(2, 1, parse_weight_list("[1],[2,1,1],[1,1],[2,2,1]", 2))),
      f"PartnerData(source={ROW2_SL3}, partner={ROW2_SL2}, "
-     "rank_source=1, rank_partner=1, rank_classical=2)"),
+     "rank_source=1, rank_partner=1, rank_classical=2, degree_source=1, degree_partner=1)"),
     (lambda: degree_m04(2, 1, parse_weight_list("w1,w1,w2,w2", 2)),
      lambda: degree_m04(2, 1, parse_weight_list("[1],[2,1,1],[1,1],[2,2,1]", 2)),
      "DegreeBreakdown(degree=1, bulk_term=Fraction(4, 3), "

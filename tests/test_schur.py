@@ -159,6 +159,18 @@ def test_lr_mult_is_commutative(p, q, row_bound):
     assert _lr_mult(p, q, row_bound) == _lr_mult(q, p, row_bound)
 
 
+def test_lr_box_that_cannot_bind_changes_nothing():
+    # coinvariant_rank passes its box only when p[0] + q[0] > width; below
+    # that every constituent fits the box, so the unbounded product is the same
+    shapes = [(), (1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1), (4,), (3, 1), (2, 2), (2, 1, 1)]
+    for p, q in product(shapes, repeat=2):
+        p0, q0 = (p[0] if p else 0), (q[0] if q else 0)
+        for rows in (1, 2, 3):
+            for width in range(p0 + q0, p0 + q0 + 3):
+                assert _lr_mult.__wrapped__(p, q, rows, (width,) * rows) == \
+                    _lr_mult.__wrapped__(p, q, rows), (p, q, rows, width)
+
+
 def test_schur_product_examples():
     assert _lr_mult((2,), (1, 1), 2) == {(3, 1): 1}
     assert _lr_mult((1,), (1,), 3) == {(2,): 1, (1, 1): 1}
