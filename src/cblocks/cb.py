@@ -226,11 +226,6 @@ def critical_level(r: int, weights: Sequence[SlWeight]) -> int | None:
     return total // (r + 1) - 1
 
 
-def theta_level(r: int, weights: Sequence[SlWeight]) -> Fraction:
-    """-1 + half the sum of highest-root pairings (first rows); an exact half-integer."""
-    return Fraction(sum(w.parts[0] for w in weights if w.parts) - 2, 2)
-
-
 class VanishingReport:
     """Levels, strict-threshold flags and both ranks of one setup."""
 

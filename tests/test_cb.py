@@ -18,7 +18,6 @@ from cblocks.cb import (
     factorization_rank,
     level_weights,
     partner,
-    theta_level,
     vanishing_report,
     witten_rank,
 )
@@ -33,6 +32,11 @@ from strategies import weight_tuples
 
 def W(coeffs, r):
     return weight_from_fundamental(coeffs, r)
+
+
+def theta_level(r, weights):
+    """Reference theta level: -1 + half the sum of the first rows (highest-root pairings)."""
+    return Fraction(sum(w.parts[0] for w in weights if w.parts) - 2, 2)
 
 
 ROW4_WEIGHTS = tuple(W(c, 2) for c in [(2, 1), (0, 1), (2, 0), (0, 2), (0, 3)])

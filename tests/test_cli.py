@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -151,9 +152,41 @@ def test_partner_off_critical_exits_2():
     assert err == "level 3 ≠ critical level 0\n"
 
 
-def test_help_exits_0():
-    code, out, _ = invoke("--help")
-    assert code == 0
+_SETUP_OPTIONS = ("--r", "--level", "--weights", "--format")
+# what each help text must name: every command at the top level, every option below
+_HELP_NAMES = {
+    None: COMMANDS,
+    "degree": _SETUP_OPTIONS,
+    "fcurve": _SETUP_OPTIONS + ("--curve", "--mode"),
+    "gw": ("--grassmannian", "--classes", "--qdegree", "--format"),
+    "hassett": _SETUP_OPTIONS + ("--mode",),
+    "partner": _SETUP_OPTIONS + ("--force",),
+    "rank": _SETUP_OPTIONS + ("--classical", "--method"),
+    "table": ("--format",),
+    "vanish": _SETUP_OPTIONS,
+}
+
+
+def test_help_exits_0(capsys):
+    for command, names in _HELP_NAMES.items():
+        argv = ("--help",) if command is None else (command, "--help")
+        code, out, err = invoke(*argv)
+        assert code == 0 and err == "", command
+        assert out.startswith(" ".join(("usage: cblocks",) + argv[:-1])), command
+        assert [name for name in names if name not in out] == [], command
+        # the help goes to the stream run was given, not to the process's stdout
+        assert capsys.readouterr() == ("", ""), command
+
+
+def test_commands_are_the_registry_and_each_has_goldens():
+    from cblocks import cli
+
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(sub.choices) == list(COMMANDS)
+    assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == list(COMMANDS)
+    for fmt in ("json", "csv"):
+        assert sorted(p.stem for p in FORMAT_GOLDEN.glob(f"*.{fmt}")) == list(COMMANDS)
 
 
 def test_json_document_shape():
