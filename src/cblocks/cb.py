@@ -43,45 +43,8 @@ from itertools import combinations_with_replacement
 from .errors import ConsistencyError, DomainError
 from .schur import _lr_mult, coinvariant_rank
 from .young import (
-    Partition, SlWeight, dual_parts, dual_star, fits_level, theta_pairing, transpose)
-
-
-class BlockSetup:
-    """One bundle: algebra sl_{r+1}, level, and a tuple of alcove weights.
-
-    Setups compare and hash by (r, level, weights).
-    """
-
-    __slots__ = ("r", "level", "weights")
-
-    def __init__(self, r: int, level: int, weights: Sequence[SlWeight]):
-        if level < 1:
-            raise DomainError(f"level must be positive, got {level}")
-        ws = tuple(weights)
-        for w in ws:
-            if not isinstance(w, SlWeight) or w.rank != r:
-                raise DomainError(f"{w} is not an sl_{r + 1} weight")
-            if not fits_level(w, level):
-                raise DomainError(
-                    f"weight {w} has first row {theta_pairing(w)} > level {level}")
-        self.r = r
-        self.level = level
-        self.weights = ws
-
-    def __eq__(self, other):
-        if other.__class__ is not BlockSetup:
-            return NotImplemented
-        return (self.r, self.level, self.weights) == (other.r, other.level, other.weights)
-
-    def __hash__(self):
-        return hash((self.r, self.level, self.weights))
-
-    def __repr__(self):
-        return f"BlockSetup(r={self.r!r}, level={self.level!r}, weights={self.weights!r})"
-
-    @property
-    def n(self) -> int:
-        return len(self.weights)
+    BlockSetup, Partition, SlWeight, dual_parts, dual_star, fits_level, theta_pairing,
+    transpose)
 
 
 @lru_cache(maxsize=None)
@@ -305,8 +268,8 @@ def partner(setup: BlockSetup, force: bool = False) -> PartnerData:
             f"rank identity failed: {rank_source} + {rank_partner} != {rank_classical}")
     degree_source = degree_partner = None
     if at_critical and setup.n == 4:
-        degree_source = degree_m04(setup.r, setup.level, setup.weights).degree
-        degree_partner = degree_m04(other.r, other.level, other.weights).degree
+        degree_source = degree_m04(setup).degree
+        degree_partner = degree_m04(other).degree
         if degree_source != degree_partner:
             raise ConsistencyError(
                 "degree identity failed at the critical level: "
@@ -344,17 +307,16 @@ split terms (one Fraction per two-plus-two split, in the order of _SPLITS)."""
 _SPLITS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
 
 
-def degree_m04(r: int, level: int, weights: Sequence[SlWeight]) -> DegreeBreakdown:
+def degree_m04(setup: BlockSetup) -> DegreeBreakdown:
     """Degree of the bundle's determinant on the four-point moduli line.
 
     bulk = rank * sum of conformal weights; each split subtracts the
     conformal weights propagating through its node, weighted by the two
     three-point ranks.  The difference must come out a non-negative integer.
     """
-    ws = tuple(weights)
-    if len(ws) != 4:
-        raise DomainError(f"need exactly 4 weights, got {len(ws)}")
-    setup = BlockSetup(r, level, ws)
+    if setup.n != 4:
+        raise DomainError(f"need exactly 4 weights, got {setup.n}")
+    r, level, ws = setup.r, setup.level, setup.weights
     rank = cb_rank(setup)
     bulk = rank * sum(conformal_weight(r, level, w) for w in ws)
     parts = [w.parts for w in ws]

@@ -24,7 +24,7 @@ import time
 
 from . import __version__
 from .errors import ConsistencyError, DomainError, ParseError
-from .young import parse_partition, parse_weight_list, weight_text
+from .young import BlockSetup, parse_partition, parse_weight_list, weight_text
 
 
 def _fmt_bool(b) -> str:
@@ -36,21 +36,21 @@ def _weights_text(ws) -> str:
 
 
 def _weights_and_echo(ns):
-    """The parsed weights and the r/level/weights echo every setup command starts with."""
+    """The setup and the r/level/weights echo every setup command starts with."""
     ws = parse_weight_list(ns.weights, ns.r)
-    return ws, {"r": str(ns.r), "level": str(ns.level), "weights": _weights_text(ws)}
+    params = {"r": str(ns.r), "level": str(ns.level), "weights": _weights_text(ws)}
+    return BlockSetup(ns.r, ns.level, ws), params
 
 
 def _cmd_rank(ns):
-    from .cb import BlockSetup, cb_rank, witten_rank
+    from .cb import cb_rank, witten_rank
     from .schur import coinvariant_rank
 
-    ws, params = _weights_and_echo(ns)
-    setup = BlockSetup(ns.r, ns.level, ws)
+    setup, params = _weights_and_echo(ns)
     results = {}
     if ns.classical:
         params["classical"] = "true"
-        results["rank_classical"] = str(coinvariant_rank(ns.r, ws))
+        results["rank_classical"] = str(coinvariant_rank(setup.r, setup.weights))
     else:
         params["method"] = ns.method
         if ns.method in ("fusion", "both"):
@@ -61,15 +61,15 @@ def _cmd_rank(ns):
             raise ConsistencyError(
                 f"rank routes disagree: fusion {results['rank_cb']} != "
                 f"witten {results['rank_witten']}")
-        results["rank_classical"] = str(coinvariant_rank(ns.r, ws))
+        results["rank_classical"] = str(coinvariant_rank(setup.r, setup.weights))
     return params, results
 
 
 def _cmd_degree(ns):
     from .cb import degree_m04
 
-    ws, params = _weights_and_echo(ns)
-    br = degree_m04(ns.r, ns.level, ws)
+    setup, params = _weights_and_echo(ns)
+    br = degree_m04(setup)
     results = {
         "degree": str(br.degree),
         "bulk_term": str(br.bulk_term),
@@ -81,12 +81,12 @@ def _cmd_degree(ns):
 
 
 def _cmd_vanish(ns):
-    from .cb import BlockSetup, degree_m04, vanishing_report
+    from .cb import degree_m04, vanishing_report
 
-    ws, params = _weights_and_echo(ns)
-    rep = vanishing_report(BlockSetup(ns.r, ns.level, ws))
-    if len(ws) == 4 and (rep.above_critical or rep.above_theta):
-        degree = degree_m04(ns.r, ns.level, ws).degree
+    setup, params = _weights_and_echo(ns)
+    rep = vanishing_report(setup)
+    if setup.n == 4 and (rep.above_critical or rep.above_theta):
+        degree = degree_m04(setup).degree
         if degree:
             bound = "critical" if rep.above_critical else "theta"
             raise ConsistencyError(
@@ -104,10 +104,10 @@ def _cmd_vanish(ns):
 
 
 def _cmd_partner(ns):
-    from .cb import BlockSetup, partner
+    from .cb import partner
 
-    ws, params = _weights_and_echo(ns)
-    data = partner(BlockSetup(ns.r, ns.level, ws), force=ns.force)
+    setup, params = _weights_and_echo(ns)
+    data = partner(setup, force=ns.force)
     if ns.force:
         params["force"] = "true"
     results = {
@@ -140,27 +140,21 @@ def _cmd_gw(ns):
 
 
 def _cmd_fcurve(ns):
-    from .nefgeo import contracts_theta, contracts_typeA, parse_fcurve
+    from .nefgeo import contracts, parse_fcurve
 
-    ws, params = _weights_and_echo(ns)
-    f = parse_fcurve(ns.curve, len(ws))
-    if ns.mode == "typeA":
-        verdict = contracts_typeA(ns.r, ns.level, ws, f)
-    else:
-        verdict = contracts_theta(ns.level, ws, f)
+    setup, params = _weights_and_echo(ns)
+    f = parse_fcurve(ns.curve, setup.n)
+    verdict = contracts(setup, f, ns.mode)
     params.update(curve="|".join(",".join(map(str, sorted(b))) for b in f.blocks),
                   mode=ns.mode)
     return params, {"contracts": _fmt_bool(verdict)}
 
 
 def _cmd_hassett(ns):
-    from .nefgeo import hassett_weights_theta, hassett_weights_typeA
+    from .nefgeo import hassett_weights
 
-    ws, params = _weights_and_echo(ns)
-    if ns.mode == "typeA":
-        hw = hassett_weights_typeA(ns.r, ns.level, ws)
-    else:
-        hw = hassett_weights_theta(ns.level, ws)
+    setup, params = _weights_and_echo(ns)
+    hw = hassett_weights(setup, ns.mode)
     params["mode"] = ns.mode
     results = {f"a{i}": str(a) for i, a in enumerate(hw.weights, start=1)}
     return params, results
@@ -185,7 +179,7 @@ _TABLE_CELLS = ("deg", "rank_classical", "rank_cb", "rank_transpose")
 
 def _cmd_table(ns):
     """Recompute each reference row, marking every computed cell PASS or FAIL."""
-    from .cb import BlockSetup, partner
+    from .cb import partner
 
     results = {}
     grid = [("row", "algebra", "level", "n", "weights") + _TABLE_CELLS + ("status",)]

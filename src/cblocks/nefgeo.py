@@ -2,16 +2,17 @@
 
 Everything here is plain arithmetic on block sums; no rank computation is
 ever consulted.  The bridge to the rank world lives in the test suites.
+The typeA and theta modes are one rule with different point masses and
+bound (_masses); the setup's validity is BlockSetup's to check.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Sequence
 from fractions import Fraction
 
 from .errors import DomainError, ParseError
-from .young import SlWeight, fits_level, theta_pairing
+from .young import BlockSetup, theta_pairing
 
 
 class FCurve(namedtuple("FCurve", "blocks")):
@@ -59,30 +60,24 @@ def parse_fcurve(text: str, n: int) -> FCurve:
     return f
 
 
-def _check_points(weights, f: FCurve):
-    if f.n != len(weights):
-        raise DomainError(
-            f"F-curve on {f.n} points, weight tuple has {len(weights)}")
+def _masses(setup: BlockSetup, mode: str):
+    """Each point's mass and the bound three blocks must stay within:
+    |lambda_i| against r + level in typeA mode, (lambda_i, theta) against
+    level + 1 in theta mode."""
+    if mode == "typeA":
+        return [w.size for w in setup.weights], setup.r + setup.level
+    if mode == "theta":
+        return [theta_pairing(w) for w in setup.weights], setup.level + 1
+    raise DomainError(f"unknown mode {mode!r}: expected typeA or theta")
 
 
-def contracts_typeA(r: int, level: int, weights: Sequence[SlWeight], f: FCurve) -> bool:
-    """Total-size criterion: three smallest block sums at most r + level."""
-    _check_points(weights, f)
-    for w in weights:
-        if w.rank != r or not fits_level(w, level):
-            raise DomainError(f"{w} is not a level-{level} weight of sl_{r + 1}")
-    sums = sorted(sum(weights[i - 1].size for i in b) for b in f.blocks)
-    return sum(sums[:3]) <= r + level
-
-
-def contracts_theta(level: int, weights: Sequence[SlWeight], f: FCurve) -> bool:
-    """Highest-root criterion: three smallest block pairings at most level + 1."""
-    _check_points(weights, f)
-    for w in weights:
-        if not fits_level(w, level):
-            raise DomainError(f"{w} is not a level-{level} weight")
-    sums = sorted(sum(theta_pairing(weights[i - 1]) for i in b) for b in f.blocks)
-    return sum(sums[:3]) <= level + 1
+def contracts(setup: BlockSetup, f: FCurve, mode: str) -> bool:
+    """Do the three lightest blocks of `f` weigh at most the mode's bound?"""
+    if f.n != setup.n:
+        raise DomainError(f"F-curve on {f.n} points, weight tuple has {setup.n}")
+    mass, bound = _masses(setup, mode)
+    sums = sorted(sum(mass[i - 1] for i in b) for b in f.blocks)
+    return sum(sums[:3]) <= bound
 
 
 class HassettWeights(namedtuple("HassettWeights", "weights")):
@@ -104,46 +99,17 @@ class HassettWeights(namedtuple("HassettWeights", "weights")):
         return len(self.weights)
 
 
-def hassett_weights_typeA(r: int, level: int, weights: Sequence[SlWeight]) -> HassettWeights:
-    """a_i = |lambda_i| / (r + level), defined when no weight is empty, none
-    exceeds the denominator, and the sizes total more than 2(r + level)."""
-    denom = r + level
-    for i, w in enumerate(weights, start=1):
-        if w.rank != r or not fits_level(w, level):
-            raise DomainError(f"{w} is not a level-{level} weight of sl_{r + 1}")
-        if w.size == 0:
-            raise DomainError(f"weight {i} is zero: sizes must be positive")
-        if w.size > denom:
-            raise DomainError(
-                f"weight {i} has size {w.size} > r + level = {denom}")
-    total = sum(w.size for w in weights)
-    if total <= 2 * denom:
-        raise DomainError(
-            f"total size {total} not greater than 2(r + level) = {2 * denom}")
-    return HassettWeights(tuple(Fraction(w.size, denom) for w in weights))
-
-
-def hassett_weights_theta(level: int, weights: Sequence[SlWeight]) -> HassettWeights:
-    """a_i = (lambda_i, theta) / (level + 1), defined when every pairing is
-    positive and the pairings total more than 2(level + 1)."""
-    denom = level + 1
-    for i, w in enumerate(weights, start=1):
-        if not fits_level(w, level):
-            raise DomainError(f"{w} is not a level-{level} weight")
-        if theta_pairing(w) == 0:
-            raise DomainError(f"weight {i} pairs to zero with the highest root")
-    total = sum(theta_pairing(w) for w in weights)
-    if total <= 2 * denom:
-        raise DomainError(
-            f"total pairing {total} not greater than 2(level + 1) = {2 * denom}")
-    return HassettWeights(tuple(Fraction(theta_pairing(w), denom) for w in weights))
+def hassett_weights(setup: BlockSetup, mode: str) -> HassettWeights:
+    """a_i = mass_i / bound in the mode's terms (see _masses); defined when
+    every a_i lies in (0, 1] and they total more than 2."""
+    mass, bound = _masses(setup, mode)
+    return HassettWeights(Fraction(m, bound) for m in mass)
 
 
 def hassett_contracts(a: HassettWeights, f: FCurve) -> bool:
-    """With the heaviest block set aside (ties to the block holding the
-    smallest index), do the other three blocks weigh at most 1 together?"""
+    """With the heaviest block set aside, do the other three blocks weigh at
+    most 1 together?"""
     if f.n != a.n:
         raise DomainError(f"F-curve on {f.n} points, weight data has {a.n}")
-    totals = [(sum(a.weights[i - 1] for i in b), min(b)) for b in f.blocks]
-    heavy = max(totals, key=lambda t: (t[0], -t[1]))
-    return sum(t for t, _ in totals) - heavy[0] <= 1
+    totals = [sum(a.weights[i - 1] for i in b) for b in f.blocks]
+    return sum(totals) - max(totals) <= 1

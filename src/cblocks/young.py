@@ -1,10 +1,11 @@
-"""Partition and weight algebra.
+"""Partition and weight algebra, and the one validated bundle setup.
 
 Partitions are plain tuples of weakly decreasing positive integers (canonical
 form drops trailing zeros).  A dominant integral weight of sl_{r+1} is stored
 as its normalized Young diagram, i.e. the representative whose (r+1)-th row is
 empty.  All derived notions (theta pairing, duals, transposes) are defined
-on that canonical data.
+on that canonical data.  BlockSetup is the one check of an (r, level,
+weights) triple; every function that works on a bundle takes one.
 """
 
 from __future__ import annotations
@@ -140,6 +141,44 @@ def dual_parts(mu: Partition, r: int) -> Partition:
 def dual_star(w: SlWeight) -> SlWeight:
     """Highest weight of the dual representation: reversed complement in the first-row strip."""
     return SlWeight(w.rank, dual_parts(w.parts, w.rank))
+
+
+class BlockSetup:
+    """One bundle: algebra sl_{r+1}, level, and a tuple of alcove weights.
+
+    Setups compare and hash by (r, level, weights).
+    """
+
+    __slots__ = ("r", "level", "weights")
+
+    def __init__(self, r: int, level: int, weights: Sequence[SlWeight]):
+        if level < 1:
+            raise DomainError(f"level must be positive, got {level}")
+        ws = tuple(weights)
+        for w in ws:
+            if not isinstance(w, SlWeight) or w.rank != r:
+                raise DomainError(f"{w} is not an sl_{r + 1} weight")
+            if not fits_level(w, level):
+                raise DomainError(
+                    f"weight {w} has first row {theta_pairing(w)} > level {level}")
+        self.r = r
+        self.level = level
+        self.weights = ws
+
+    def __eq__(self, other):
+        if other.__class__ is not BlockSetup:
+            return NotImplemented
+        return (self.r, self.level, self.weights) == (other.r, other.level, other.weights)
+
+    def __hash__(self):
+        return hash((self.r, self.level, self.weights))
+
+    def __repr__(self):
+        return f"BlockSetup(r={self.r!r}, level={self.level!r}, weights={self.weights!r})"
+
+    @property
+    def n(self) -> int:
+        return len(self.weights)
 
 
 _FUND_TERM = re.compile(r"^(\d*)w(\d+)$")

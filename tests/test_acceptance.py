@@ -26,14 +26,7 @@ from cblocks.cb import (
 )
 from cblocks.cli import run
 from cblocks.errors import CapacityError, DomainError
-from cblocks.nefgeo import (
-    FCurve,
-    contracts_theta,
-    contracts_typeA,
-    hassett_contracts,
-    hassett_weights_theta,
-    hassett_weights_typeA,
-)
+from cblocks.nefgeo import FCurve, contracts, hassett_contracts, hassett_weights
 from cblocks.qgrass import GrassmannBox, QClass, gw_invariant, quantum_product
 from cblocks.schur import _lr_mult, coinvariant_rank, invariant_oracle
 from cblocks.young import SlWeight, conjugate, dual_star, parse_weight_list, transpose
@@ -130,7 +123,7 @@ def test_01_reference_table_exact():
 
 def test_02_degree_column_exact():
     degrees = [
-        degree_m04(r, level, tuple(SlWeight(r, p) for p in diagrams)).degree
+        degree_m04(BlockSetup(r, level, tuple(SlWeight(r, p) for p in diagrams))).degree
         for r, level, diagrams, *_ in ROWS
         if len(diagrams) == 4
     ]
@@ -215,8 +208,8 @@ def test_08_symmetry_suites():
     for _ in range(40):
         setup = random_setup(rng, min_n=4, max_n=4)
         dualized = tuple(dual_star(w) for w in setup.weights)
-        assert (degree_m04(setup.r, setup.level, dualized).degree
-                == degree_m04(setup.r, setup.level, setup.weights).degree)
+        assert (degree_m04(BlockSetup(setup.r, setup.level, dualized)).degree
+                == degree_m04(setup).degree)
     # classical ranks across the transposed box: all small instances ...
     for r, level in ((1, 1), (1, 2), (2, 1), (2, 2)):
         pool = level_weights(r, level)
@@ -288,9 +281,10 @@ def test_11_hassett_weights_contract_every_collapsed_fcurve():
                       tuple(SlWeight(r, rng.choice(pool)) for _ in range(n))))
     seen_a = seen_t = fired = 0
     for r, level, ws in cases:
+        setup = BlockSetup(r, level, ws)
         curves = [FCurve(blocks) for blocks in four_blocks(len(ws))]
         try:
-            hw = hassett_weights_typeA(r, level, ws)
+            hw = hassett_weights(setup, "typeA")
         except DomainError:
             hw = None
         if hw is not None:
@@ -298,16 +292,16 @@ def test_11_hassett_weights_contract_every_collapsed_fcurve():
             for f in curves:
                 if hassett_contracts(hw, f):
                     fired += 1
-                    assert contracts_typeA(r, level, ws, f)
+                    assert contracts(setup, f, "typeA")
         try:
-            hw = hassett_weights_theta(level, ws)
+            hw = hassett_weights(setup, "theta")
         except DomainError:
             continue
         seen_t += 1
         for f in curves:
             if hassett_contracts(hw, f):
                 fired += 1
-                assert contracts_theta(level, ws, f)
+                assert contracts(setup, f, "theta")
     assert seen_a >= 30 and seen_t >= 30 and fired > 0
 
 

@@ -110,6 +110,12 @@ def test_command_loads_only_its_modules(command):
      "(3,) does not fit in GrassmannBox(k=2, n=4)\n"),
     (("rank", "--r", "2", "--level", "1", "--weights", "2w1,w1"),
      "weight SlWeight(sl3, [2]) has first row 2 > level 1\n"),
+    (("fcurve", "--r", "2", "--level", "1", "--weights", "2w1,w1,w1,w1", "--curve", "1|2|3|4"),
+     "weight SlWeight(sl3, [2]) has first row 2 > level 1\n"),
+    (("fcurve", "--r", "2", "--level", "0", "--weights", "0,0,0,0", "--curve", "1|2|3|4"),
+     "level must be positive, got 0\n"),
+    (("hassett", "--r", "2", "--level", "0", "--weights", "0,0,0,0", "--mode", "typeA"),
+     "level must be positive, got 0\n"),
 ))
 def test_precondition_messages_carry_reprs(argv, message):
     assert invoke(*argv) == (2, "", message)
@@ -358,9 +364,9 @@ def _shift_degree(monkeypatch, when):
 
     real = cb.degree_m04
 
-    def shifted(r, level, weights):
-        br = real(r, level, weights)
-        if not when(r, level):
+    def shifted(setup):
+        br = real(setup)
+        if not when(setup.r, setup.level):
             return br
         return cb.DegreeBreakdown(br.degree + 1, br.bulk_term, br.pairing_terms)
 

@@ -9,14 +9,12 @@ from cblocks.errors import DomainError, ParseError
 from cblocks.nefgeo import (
     FCurve,
     HassettWeights,
-    contracts_theta,
-    contracts_typeA,
+    contracts,
     hassett_contracts,
-    hassett_weights_theta,
-    hassett_weights_typeA,
+    hassett_weights,
     parse_fcurve,
 )
-from cblocks.young import SlWeight, weight_from_fundamental
+from cblocks.young import BlockSetup, SlWeight, weight_from_fundamental
 
 
 def W(coeffs, r):
@@ -56,41 +54,43 @@ def test_parse_fcurve():
 def test_contracts_typeA_examples():
     w1 = SlWeight(2, (1,))
     ws = (w1,) * 6
-    assert contracts_typeA(2, 1, ws, F({1}, {2}, {3}, {4, 5, 6}))
-    assert not contracts_typeA(2, 1, ws, F({1, 2}, {3, 4}, {5}, {6}))
+    assert contracts(BlockSetup(2, 1, ws), F({1}, {2}, {3}, {4, 5, 6}), "typeA")
+    assert not contracts(BlockSetup(2, 1, ws), F({1, 2}, {3, 4}, {5}, {6}), "typeA")
     v1 = SlWeight(1, (1,))
-    assert not contracts_typeA(1, 1, (v1,) * 4, F({1}, {2}, {3}, {4}))
+    assert not contracts(BlockSetup(1, 1, (v1,) * 4), F({1}, {2}, {3}, {4}), "typeA")
 
 
 def test_contracts_theta_examples():
     w2 = SlWeight(2, (1, 1))
     ws = (w2,) * 6
     blocks = F({1}, {2}, {3}, {4, 5, 6})
-    assert contracts_theta(2, ws, blocks)
-    assert not contracts_theta(1, ws, blocks)
+    assert contracts(BlockSetup(2, 2, ws), blocks, "theta")
+    assert not contracts(BlockSetup(2, 1, ws), blocks, "theta")
     zeros = (SlWeight(2, ()),) * 6
-    assert contracts_theta(1, zeros, blocks)
+    assert contracts(BlockSetup(2, 1, zeros), blocks, "theta")
+    with pytest.raises(DomainError):
+        contracts(BlockSetup(2, 1, zeros), blocks, "typea")
 
 
 def test_hassett_weights_typeA():
-    hw = hassett_weights_typeA(2, 5, ROW9_WEIGHTS)
+    hw = hassett_weights(BlockSetup(2, 5, ROW9_WEIGHTS), "typeA")
     assert hw.weights == (Fraction(2, 7),) * 6 + (Fraction(2, 7), Fraction(4, 7))
 
     with pytest.raises(DomainError):
-        hassett_weights_typeA(2, 1, (SlWeight(2, (1,)),) * 6)  # boundary total
+        hassett_weights(BlockSetup(2, 1, (SlWeight(2, (1,)),) * 6), "typeA")  # boundary total
     with pytest.raises(DomainError):
-        hassett_weights_typeA(2, 5, ROW9_WEIGHTS[:-1] + (SlWeight(2, ()),))
+        hassett_weights(BlockSetup(2, 5, ROW9_WEIGHTS[:-1] + (SlWeight(2, ()),)), "typeA")
 
 
 def test_hassett_weights_theta():
-    hw = hassett_weights_theta(1, (SlWeight(1, (1,)),) * 6)
+    hw = hassett_weights(BlockSetup(1, 1, (SlWeight(1, (1,)),) * 6), "theta")
     assert hw.weights == (Fraction(1, 2),) * 6
 
-    hw = hassett_weights_theta(5, ROW9_WEIGHTS)
+    hw = hassett_weights(BlockSetup(2, 5, ROW9_WEIGHTS), "theta")
     assert hw.weights == (Fraction(1, 3),) * 6 + (Fraction(1, 6), Fraction(1, 3))
 
     with pytest.raises(DomainError):
-        hassett_weights_theta(1, (SlWeight(1, (1,)),) * 4)  # boundary total
+        hassett_weights(BlockSetup(1, 1, (SlWeight(1, (1,)),) * 4), "theta")  # boundary total
 
 
 def test_hassett_contracts_examples():
@@ -136,21 +136,21 @@ def _four_blocks(n):
 def test_theorem_consistency_typeA_row9():
     # whenever the rational weights exist, curves they contract are also
     # contracted by the block-sum criterion
-    r, level = 2, 5
-    hw = hassett_weights_typeA(r, level, ROW9_WEIGHTS)
+    setup = BlockSetup(2, 5, ROW9_WEIGHTS)
+    hw = hassett_weights(setup, "typeA")
     for blocks in _four_blocks(8):
         f = FCurve(blocks)
         if hassett_contracts(hw, f):
-            assert contracts_typeA(r, level, ROW9_WEIGHTS, f)
+            assert contracts(setup, f, "typeA")
 
 
 def test_theorem_consistency_theta_row9():
-    level = 5
-    hw = hassett_weights_theta(level, ROW9_WEIGHTS)
+    setup = BlockSetup(2, 5, ROW9_WEIGHTS)
+    hw = hassett_weights(setup, "theta")
     for blocks in _four_blocks(8):
         f = FCurve(blocks)
         if hassett_contracts(hw, f):
-            assert contracts_theta(level, ROW9_WEIGHTS, f)
+            assert contracts(setup, f, "theta")
 
 
 @given(st.integers(4, 7), st.randoms(use_true_random=False))
@@ -163,5 +163,6 @@ def test_contract_predicates_block_permutation_invariant(n, rng):
     perm = list(blocks)
     rng.shuffle(perm)
     g = FCurve(tuple(perm))
-    assert contracts_typeA(2, 2, weights, f) == contracts_typeA(2, 2, weights, g)
-    assert contracts_theta(2, weights, f) == contracts_theta(2, weights, g)
+    setup = BlockSetup(2, 2, weights)
+    for mode in ("typeA", "theta"):
+        assert contracts(setup, f, mode) == contracts(setup, g, mode)

@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,3 +13,12 @@ def test_search_rank_equality_runs():
         capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert "samples                    300" in done.stdout.splitlines()
+
+
+def test_readme_library_example_runs():
+    readme = (REPO / "README.md").read_text()
+    library = readme[readme.index("\n## Library\n"):]
+    block = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+    scope = {}
+    exec(block, scope)
+    assert scope["cb_rank"](scope["setup"]) == 7
