@@ -16,13 +16,16 @@ Two independent rank algorithms are kept deliberately separate:
   loop sees the rest.  The contraction vectors are keyed by
   normalised parts tuples, the dual is taken on those tuples, and the
   cached fusion products hold ((parts, coeff), ...).  degree_m04 reads its
-  split terms from the same cached products and builds an SlWeight only for
-  a constituent that enters a term, to take its conformal weight.
+  split terms from the same cached products and takes the conformal weight
+  of each constituent that enters a term straight from its parts.
   Each half's vector comes from _fuse, and its keys keep the half's total
   size mod r+1: normalising removes full columns of r+1 cells, and a
   reflection keeps the sum of the gl tuple.  Since |mu*| = -|mu| mod r+1,
   a left mu meets a right mu* only when r+1 divides the whole total, so
-  cb_rank returns 0 without contracting when it does not.
+  cb_rank returns 0 without contracting when it does not.  Otherwise it
+  reads a bounded memo (_cb_rank) keyed on (r, level, sorted diagrams): the
+  rank is symmetric in the points, so every ordering of a multiset shares
+  one entry, and the memo contracts in that sorted order.
 
 * witten_rank evaluates one big quantum Schubert product on Gr(r+1, r+1+l)
   and reads off a single coefficient.
@@ -42,9 +45,7 @@ from itertools import combinations_with_replacement
 
 from .errors import ConsistencyError, DomainError
 from .schur import _lr_mult, coinvariant_rank
-from .young import (
-    BlockSetup, Partition, SlWeight, dual_parts, dual_star, fits_level, theta_pairing,
-    transpose)
+from .young import BlockSetup, Partition, SlWeight, dual_parts, dual_star, transpose
 
 
 @lru_cache(maxsize=None)
@@ -60,20 +61,26 @@ def _inner(r: int, a: Sequence[int], b: Sequence[int]) -> Fraction:
     return Fraction(dot) - Fraction(sum(a) * sum(b), r + 1)
 
 
+def _casimir(r: int, parts: Partition) -> Fraction:
+    lam = parts + (0,) * (r + 1 - len(parts))
+    return _inner(r, lam, lam) + 2 * _inner(r, lam, range(r, -1, -1))
+
+
 def casimir(r: int, w: SlWeight) -> Fraction:
     """(lambda, lambda + 2 rho) in the normalization where the highest root has square 2."""
     if w.rank != r:
         raise DomainError(f"{w} is not an sl_{r + 1} weight")
-    lam = [w.row(a) for a in range(1, r + 2)]
-    rho = list(range(r, -1, -1))
-    return _inner(r, lam, lam) + 2 * _inner(r, lam, rho)
+    return _casimir(r, w.parts)
+
+
+def _conformal_weight(r: int, level: int, parts: Partition) -> Fraction:
+    """conformal_weight of normalised parts already known to fit the level."""
+    return _casimir(r, parts) / (2 * (level + r + 1))
 
 
 def conformal_weight(r: int, level: int, w: SlWeight) -> Fraction:
-    if not fits_level(w, level):
-        raise DomainError(
-            f"weight {w} has first row {theta_pairing(w)} > level {level}")
-    return casimir(r, w) / (2 * (level + r + 1))
+    BlockSetup(r, level, (w,))      # the setup check: w's rank, w inside the level alcove
+    return _conformal_weight(r, level, w.parts)
 
 
 def _alcove_reduce(diagram: Partition, r: int, level: int):
@@ -153,10 +160,21 @@ def cb_rank(setup: BlockSetup):
     When r+1 does not divide the total size no left mu meets a right mu*
     (module docstring), so the rank is 0 without contracting.
     """
-    r, level = setup.r, setup.level
+    r = setup.r
     parts = [w.parts for w in setup.weights]
     if sum(map(sum, parts)) % (r + 1):
         return 0
+    return _cb_rank(r, setup.level, tuple(sorted(parts)))
+
+
+@lru_cache(maxsize=1 << 14)
+def _cb_rank(r: int, level: int, parts: tuple) -> int:
+    """cb_rank of the diagrams `parts`, contracted in the order given.
+
+    Callers pass the diagrams sorted: the rank is symmetric in the points,
+    so (r, level, sorted multiset) is the cache key.  The 2**14 entries bound
+    the cache; one `sweep` operation list of 40,000 setups fills about 3,600.
+    """
     h = len(parts) // 2
     left = _fuse(r, level, parts[:h])
     right = _fuse(r, level, parts[h:][::-1])
@@ -190,28 +208,39 @@ def critical_level(r: int, weights: Sequence[SlWeight]) -> int | None:
 
 
 class VanishingReport:
-    """Levels, strict-threshold flags and both ranks of one setup."""
+    """Levels, strict-threshold flags and both ranks of one setup.
 
-    __slots__ = ("critical_level", "theta_level", "above_critical", "above_theta",
+    The theta level is built from the stored first-row sum when it is read,
+    so a report whose theta level is never read builds no Fraction.
+    """
+
+    __slots__ = ("critical_level", "first_rows", "above_critical", "above_theta",
                  "rank_classical", "rank_cb", "ranks_equal")
 
-    def __init__(self, critical_level: int | None, theta_level: Fraction,
+    def __init__(self, critical_level: int | None, first_rows: int,
                  above_critical: bool, above_theta: bool,
                  rank_classical: int, rank_cb: int, ranks_equal: bool):
         self.critical_level = critical_level
-        self.theta_level = theta_level
+        self.first_rows = first_rows
         self.above_critical = above_critical
         self.above_theta = above_theta
         self.rank_classical = rank_classical
         self.rank_cb = rank_cb
         self.ranks_equal = ranks_equal
 
+    @property
+    def theta_level(self) -> Fraction:
+        """-1 + half the sum of the weights' first rows (highest-root pairings)."""
+        return Fraction(self.first_rows - 2, 2)
+
 
 def vanishing_report(setup: BlockSetup) -> VanishingReport:
     """Levels, strict-threshold flags, and both ranks for one setup.
 
     Above either threshold the two ranks must agree; a disagreement raises
-    ConsistencyError instead of being reported.
+    ConsistencyError instead of being reported.  When r+1 does not divide the
+    total size both ranks are 0 (the docstrings of coinvariant_rank and
+    cb_rank), and neither route is called.
     """
     r, level = setup.r, setup.level
     # one pass gives the total size (critical level) and the first-row sum (theta level)
@@ -221,9 +250,13 @@ def vanishing_report(setup: BlockSetup) -> VanishingReport:
         if p:
             total += sum(p)
             first_rows += p[0]
-    c = None if total % (r + 1) else total // (r + 1) - 1
-    rank_a = coinvariant_rank(r, setup.weights)
-    rank_v = cb_rank(setup)
+    if total % (r + 1):
+        c = None
+        rank_a = rank_v = 0
+    else:
+        c = total // (r + 1) - 1
+        rank_a = coinvariant_rank(r, setup.weights)
+        rank_v = cb_rank(setup)
     above_critical = c is not None and level > c
     # level > theta_level = (first_rows - 2) / 2
     above_theta = 2 * level > first_rows - 2
@@ -232,7 +265,7 @@ def vanishing_report(setup: BlockSetup) -> VanishingReport:
         raise ConsistencyError(
             f"ranks differ above a vanishing bound ({bound} level): "
             f"classical {rank_a} != conformal blocks {rank_v}")
-    return VanishingReport(c, Fraction(first_rows - 2, 2), above_critical, above_theta,
+    return VanishingReport(c, first_rows, above_critical, above_theta,
                            rank_a, rank_v, rank_a == rank_v)
 
 
@@ -316,10 +349,10 @@ def degree_m04(setup: BlockSetup) -> DegreeBreakdown:
     """
     if setup.n != 4:
         raise DomainError(f"need exactly 4 weights, got {setup.n}")
-    r, level, ws = setup.r, setup.level, setup.weights
+    r, level = setup.r, setup.level
     rank = cb_rank(setup)
-    bulk = rank * sum(conformal_weight(r, level, w) for w in ws)
-    parts = [w.parts for w in ws]
+    parts = [w.parts for w in setup.weights]
+    bulk = rank * sum(_conformal_weight(r, level, p) for p in parts)
     pairings = []
     for (ia, ib), (ic, id_) in _SPLITS:
         ab = dict(_fusion_expand_cached(r, level, *sorted((parts[ia], parts[ib]))))
@@ -327,7 +360,7 @@ def degree_m04(setup: BlockSetup) -> DegreeBreakdown:
         for mu, n_cd in _fusion_expand_cached(r, level, *sorted((parts[ic], parts[id_]))):
             n_ab = ab.get(dual_parts(mu, r), 0)
             if n_ab:
-                term += conformal_weight(r, level, SlWeight(r, mu)) * n_ab * n_cd
+                term += _conformal_weight(r, level, mu) * n_ab * n_cd
         pairings.append(term)
     total = bulk - sum(pairings)
     if total.denominator != 1:

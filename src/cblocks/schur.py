@@ -27,6 +27,11 @@ complement of u in it, and not otherwise.  A step passes the box as `outer`
 only when it can bind, that is when u[0] + q[0] exceeds its width; otherwise
 every constituent already fits, and the step shares the unbounded product's
 cache entry with other boxes and with the fusion route.
+coinvariant_rank keeps its checks and early returns, then reads a bounded
+memo (_coinvariant_rank) keyed on r, the box width and the sorted diagrams.
+That key is sound because the rank is symmetric in the points and the
+classical rank does not depend on any level, so one entry serves every
+ordering of a multiset, at every level.
 invariant_oracle recomputes the rank by a deliberately different route
 (weight-multiplicity convolution followed by a Weyl alternating sum) and
 exists so the two can be played against each other.
@@ -139,6 +144,18 @@ def coinvariant_rank(r: int, weights: Sequence[SlWeight]):
     width = total // (r + 1)
     if any(p and p[0] > width for p in parts):
         return 0
+    return _coinvariant_rank(r, width, tuple(sorted(parts)))
+
+
+@lru_cache(maxsize=1 << 14)
+def _coinvariant_rank(r: int, width: int, parts: tuple) -> int:
+    """coinvariant_rank of the diagrams `parts`, inside the (r+1) x width box.
+
+    Callers pass the diagrams sorted: the rank is symmetric in the points,
+    so the sorted multiset is the cache key, and it does not depend on any
+    level.  The 2**14 entries bound the cache; one `sweep` operation list
+    of 40,000 setups fills about 2,500.
+    """
     # every partial product only grows, so shapes outside the box are dropped;
     # the box binds only when some constituent's first row could pass its width
     box = (width,) * (r + 1)

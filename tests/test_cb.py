@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cblocks.cb import (
     BlockSetup,
     _alcove_reduce,
+    _cb_rank,
     _fuse,
     _fusion_expand_cached,
     cb_rank,
@@ -24,10 +25,11 @@ from cblocks.cb import (
 from cblocks.errors import DomainError
 from cblocks.nefgeo import FCurve, HassettWeights, parse_fcurve
 from cblocks.qgrass import GrassmannBox, QClass
-from cblocks.schur import _lr_mult, coinvariant_rank
+from cblocks.schur import _coinvariant_rank, _lr_mult, coinvariant_rank
 from cblocks.young import (
     SlWeight, dual_parts, dual_star, parse_weight_list, weight_from_fundamental)
 from strategies import weight_tuples
+from test_schur import coinvariant_box_width
 
 
 def W(coeffs, r):
@@ -352,10 +354,61 @@ def test_cb_at_most_classical(rlw):
 @settings(deadline=None, max_examples=60)
 @given(weight_tuples(max_rank=2, max_level=3, max_points=5), st.randoms(use_true_random=False))
 def test_cb_rank_permutation_invariance(rlw, rng):
+    # the uncached body, so that both orders are really contracted
     r, level, ws = rlw
     shuffled = list(ws)
     rng.shuffle(shuffled)
-    assert cb_rank(BlockSetup(r, level, ws)) == cb_rank(BlockSetup(r, level, tuple(shuffled)))
+    body = _cb_rank.__wrapped__
+    assert (body(r, level, tuple(w.parts for w in ws))
+            == body(r, level, tuple(w.parts for w in shuffled)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(weight_tuples(max_rank=3, max_level=3, max_points=5), st.randoms(use_true_random=False))
+def test_rank_memos_answer_the_callers_order(rlw, rng):
+    # the shuffled call fills each memo first; the caller's own order must
+    # then read the answer the uncached body gives in that order
+    r, level, ws = rlw
+    shuffled = list(ws)
+    rng.shuffle(shuffled)
+    setup = BlockSetup(r, level, ws)
+    cb_rank(BlockSetup(r, level, shuffled))
+    coinvariant_rank(r, shuffled)
+    parts = tuple(w.parts for w in ws)
+    width = coinvariant_box_width(r, ws)
+    if sum(map(sum, parts)) % (r + 1):
+        assert cb_rank(setup) == 0
+    else:
+        assert cb_rank(setup) == _cb_rank.__wrapped__(r, level, parts)
+    if width is None:
+        assert coinvariant_rank(r, ws) == 0
+    else:
+        assert coinvariant_rank(r, ws) == _coinvariant_rank.__wrapped__(r, width, parts)
+
+
+def test_indivisible_totals_rank_zero_on_both_routes():
+    # vanishing_report skips both routes where r+1 does not divide the total
+    # size; every such setup with r <= 3, level <= 3 and n <= 4 pins that both
+    # give 0 there, the fusion route also by its full contraction
+    skipped = 0
+    for r, level in product((1, 2, 3), (1, 2, 3)):
+        for n in range(5):
+            for ws in combinations_with_replacement(level_weights(r, level), n):
+                parts = tuple(w.parts for w in ws)
+                if not sum(map(sum, parts)) % (r + 1):
+                    continue
+                skipped += 1
+                setup = BlockSetup(r, level, ws)
+                assert coinvariant_rank(r, ws) == cb_rank(setup) == 0
+                assert _cb_rank.__wrapped__(r, level, parts) == 0, (r, level, parts)
+                rep = vanishing_report(setup)
+                assert (rep.rank_classical, rep.rank_cb, rep.ranks_equal) == (0, 0, True)
+                assert rep.critical_level is None and critical_level(r, ws) is None
+                assert rep.theta_level == theta_level(r, ws)
+                assert type(rep.theta_level) is Fraction
+                assert not rep.above_critical
+                assert rep.above_theta == (level > theta_level(r, ws))
+    assert skipped == 9607
 
 
 @settings(deadline=None, max_examples=60)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from cblocks.cb import level_weights
 from cblocks.errors import CapacityError, DomainError
-from cblocks.schur import _lr_mult, coinvariant_rank, invariant_oracle
+from cblocks.schur import _coinvariant_rank, _lr_mult, coinvariant_rank, invariant_oracle
 from cblocks.young import (
     SlWeight, conjugate, dual_star, partition, row, transpose, weight_from_fundamental)
 from strategies import boxed_partitions, weight_tuples
@@ -14,6 +14,14 @@ from strategies import boxed_partitions, weight_tuples
 
 def W(coeffs, r):
     return weight_from_fundamental(coeffs, r)
+
+
+def coinvariant_box_width(r, ws):
+    """Width of the forced box, or None where coinvariant_rank returns 0 before its body."""
+    total = sum(w.size for w in ws)
+    if total % (r + 1) or any(w.row(1) > total // (r + 1) for w in ws):
+        return None
+    return total // (r + 1)
 
 
 def lr_coefficient(lam, mu, nu):
@@ -236,10 +244,17 @@ def test_coinvariant_matches_oracle(rlw):
 @settings(deadline=None)
 @given(weight_tuples(max_rank=3, max_level=3, max_points=5), st.randoms(use_true_random=False))
 def test_coinvariant_permutation_invariance(rlw, rng):
+    # the uncached body, so that both orders are really contracted
     r, _, ws = rlw
     shuffled = list(ws)
     rng.shuffle(shuffled)
-    assert coinvariant_rank(r, ws) == coinvariant_rank(r, shuffled)
+    width = coinvariant_box_width(r, ws)
+    if width is None:
+        assert coinvariant_rank(r, ws) == coinvariant_rank(r, shuffled) == 0
+        return
+    body = _coinvariant_rank.__wrapped__
+    assert (body(r, width, tuple(w.parts for w in ws))
+            == body(r, width, tuple(w.parts for w in shuffled)))
 
 
 @settings(deadline=None)

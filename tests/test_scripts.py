@@ -6,13 +6,45 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 
 
+SEARCH_300 = """\
+samples                    300
+above a vanishing bound    203
+below both, ranks differ   40
+below both, ranks equal    57
+
+equal-rank hits by feature set:
+      40  rank 0
+      15  rank 0; self-dual multiset
+       1  rank 1
+       1  rank 0; level = critical
+"""
+
+SEARCH_2000 = """\
+samples                    2000
+above a vanishing bound    1437
+below both, ranks differ   202
+below both, ranks equal    361
+
+equal-rank hits by feature set:
+     279  rank 0
+      74  rank 0; self-dual multiset
+       4  rank 1
+       2  rank 0; level = critical
+       1  no obvious feature
+       1  rank 1; level = critical
+
+unexplained hits:
+  sl3 level 3  [2w2,2w2,w2,w1,2w2,0]  rank 3, critical 4, theta 3
+"""
+
+
 def test_search_rank_equality_runs():
-    done = subprocess.run(
-        [sys.executable, str(REPO / "scripts" / "search_rank_equality.py"),
-         "--samples", "300", "--seed", "0"],
-        capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
-    assert "samples                    300" in done.stdout.splitlines()
+    script = str(REPO / "scripts" / "search_rank_equality.py")
+    for extra, expected in ((["--samples", "300"], SEARCH_300), ([], SEARCH_2000)):
+        done = subprocess.run([sys.executable, script, "--seed", "0"] + extra,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == expected
 
 
 def test_readme_library_example_runs():
