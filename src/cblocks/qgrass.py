@@ -37,9 +37,9 @@ sigma_p * sigma_q = q^(-e-f) T^(a+b) (sigma_p0 * sigma_q0), and only the
 representatives' product is an LR expansion reduced by rim hooks
 (_orbit_mult).  _quantum_mult rotates its terms, checks that each q degree
 comes out non-negative, and caches the result per pair; its output does not
-depend on the order of the factors.  The LR expansion adds one horizontal
-strip per row of the second factor, so the representative with fewer rows
-and cells goes second.  quantum_product and gw_invariant both expand over
+depend on the order of the factors, so it passes the representatives to
+_orbit_mult in a canonical order (the LR kernel picks the cheaper
+orientation itself).  quantum_product and gw_invariant both expand over
 plain {(shape, q_degree): coeff} dicts through that cache; gw_invariant
 folds its classes in from the left and reads off the q^d point-class
 coefficient.
@@ -178,9 +178,8 @@ def _orbit_mult(p0: Partition, q0: Partition, box: GrassmannBox) -> tuple:
     """sigma_p0 * sigma_q0 for two orbit representatives, reduced into the box.
 
     Returns (((shape, q_degree), coeff), ...), zeros absent.  _quantum_mult
-    calls it with the factor of fewer rows and cells second, since the LR
-    expansion adds one strip per row of its second factor.  Keys are pairs of
-    orbit representatives, so at most o^2 entries per box for o orbits.
+    calls it with p0 >= q0, so each unordered pair has one entry: at most
+    o(o+1)/2 entries per box for o orbits.
     """
     acc: dict[tuple[Partition, int], int] = {}
     for u, m in _lr_mult.__wrapped__(p0, q0, box.k).items():
@@ -201,7 +200,7 @@ def _quantum_mult(p: Partition, q: Partition, box: GrassmannBox) -> tuple:
     """
     p0, a, e, _ = _orbit(p, box)
     q0, b, f, _ = _orbit(q, box)
-    if (len(p0), sum(p0), p0) < (len(q0), sum(q0), q0):
+    if p0 < q0:
         p0, q0 = q0, p0
     k, n = box.k, box.n
     turns, m = divmod(a + b, n)

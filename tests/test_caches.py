@@ -7,7 +7,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "cblocks"
 # The unbounded caches that predate the rule below.  Bounding one removes it
 # from this list; nothing is added to it.
 UNBOUNDED = {
-    "schur._lr_mult",
     "schur._gl_character",
     "cb.level_weights",
     "cb._fusion_expand_cached",

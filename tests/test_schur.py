@@ -1,7 +1,7 @@
 from itertools import accumulate, product
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cblocks.cb import level_weights
@@ -99,14 +99,18 @@ def _reference_lr_mult(p, q, row_bound, outer=None):
     return out
 
 
-# the examples reach each early return: p or q with too many rows, p outside
-# `outer` (too many rows or a row too long), and `outer` too small to hold the cells
+# the examples reach each early return: p or q with too many rows, p or q
+# outside `outer` (too many rows or a row too long), `outer` too small to hold
+# the cells, and an empty factor
 @settings(max_examples=300)
 @example((1, 1, 1), (1,), 2, None)
 @example((1,), (1, 1, 1), 2, None)
 @example((1, 1, 1), (1,), 3, (2, 2))
 @example((3,), (1,), 3, (2, 2))
+@example((2, 2), (3,), 3, (2, 2, 2))
 @example((1,), (1, 1), 3, (1, 1))
+@example((), (2, 1), 3, None)
+@example((3,), (), 2, (2,))
 @given(boxed_partitions(max_rows=5, max_width=5), boxed_partitions(max_rows=5, max_width=5),
        st.integers(min_value=1, max_value=5),
        st.none() | boxed_partitions(max_rows=5, max_width=8))
@@ -161,10 +165,36 @@ def test_lr_outer_bound_is_a_filter(p, q, row_bound, outer):
         u: m for u, m in full.items() if _contained(u, outer)}
 
 
+@example((2, 1), (2, 1), 3, (3, 2, 2))
 @given(boxed_partitions(max_rows=4, max_width=4), boxed_partitions(max_rows=4, max_width=4),
-       st.integers(min_value=1, max_value=5))
-def test_lr_mult_is_commutative(p, q, row_bound):
-    assert _lr_mult(p, q, row_bound) == _lr_mult(q, p, row_bound)
+       st.integers(min_value=1, max_value=5),
+       st.none() | boxed_partitions(max_rows=5, max_width=8))
+def test_lr_mult_is_commutative(p, q, row_bound, outer):
+    # the kernel orients its factors itself; the reference walk takes them as given
+    product = _lr_mult.__wrapped__(p, q, row_bound, outer)
+    assert product == _lr_mult.__wrapped__(q, p, row_bound, outer)
+    assert product == _reference_lr_mult(q, p, row_bound, outer)
+
+
+def _with_full_columns(u, c, rows):
+    return tuple(x + c for x in u) + (c,) * (rows - len(u))
+
+
+@given(boxed_partitions(max_rows=4, max_width=4), boxed_partitions(max_rows=4, max_width=4),
+       st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=3),
+       st.integers(min_value=0, max_value=6))
+def test_full_columns_factor_out_of_a_product(u, q, rows, c, slack):
+    # in `rows` variables s_(u + c^rows) = det^c * s_u, so the product of a shape
+    # with c full columns is its normalised shape's product, inside a box c
+    # columns narrower, with the c columns added back to every constituent
+    assume(len(u) <= rows and len(q) <= rows)
+    full = _with_full_columns(u, c, rows)
+    width = c + slack
+    shifted = {_with_full_columns(v, c, rows): m
+               for v, m in _lr_mult.__wrapped__(u, q, rows, (width - c,) * rows).items()}
+    assert _lr_mult.__wrapped__(full, q, rows, (width,) * rows) == shifted
+    assert _lr_mult.__wrapped__(full, q, rows) == {
+        _with_full_columns(v, c, rows): m for v, m in _lr_mult.__wrapped__(u, q, rows).items()}
 
 
 def test_lr_box_that_cannot_bind_changes_nothing():
@@ -239,6 +269,36 @@ def test_coinvariant_edge_arities():
 def test_coinvariant_matches_oracle(rlw):
     r, _, ws = rlw
     assert coinvariant_rank(r, ws) == invariant_oracle(r, ws)
+
+
+def _strips_full_columns(r, parts):
+    """Whether some half of the body's contraction meets a shape with r+1
+    rows before its last point, so that a later product strips full columns."""
+    h = len(parts) // 2
+    for half in (parts[:h], parts[h:][::-1]):
+        running = {half[0]} if half else set()
+        for q in half[1:-1]:
+            running = {u for p in running for u in _lr_mult.__wrapped__(p, q, r + 1)}
+            if any(len(u) == r + 1 for u in running):
+                return True
+    return False
+
+
+@pytest.mark.parametrize("coeffs", [
+    ((1, 0),) * 9,                        # (1)(1)(1) has (1,1,1)
+    ((0, 1),) * 6,                        # (1,1)(1,1) has (2,1,1)
+    ((2, 0),) * 3 + ((0, 2),) * 3,        # (2,2)(2,2) has (4,2,2) and (3,3,2)
+    ((1, 1),) * 6,                        # (2,1)(2,1) has (2,2,2)
+    ((1, 1), (1, 1), (0, 2), (2, 0), (1, 0), (0, 1), (1, 1)),
+])
+def test_coinvariant_body_matches_oracle_through_full_columns(coeffs):
+    # sl3 setups whose halves multiply shapes with full columns: the body
+    # multiplies their normalised shapes and adds the columns back
+    ws = tuple(W(c, 2) for c in coeffs)
+    parts = tuple(sorted(w.parts for w in ws))
+    assert _strips_full_columns(2, parts)
+    width = coinvariant_box_width(2, ws)
+    assert _coinvariant_rank.__wrapped__(2, width, parts) == invariant_oracle(2, ws)
 
 
 @settings(deadline=None)
