@@ -15,7 +15,7 @@ Two independent rank algorithms are kept deliberately separate:
   only subtracts its last row and counts it with sign +1; the reflection
   loop sees the rest.  The contraction vectors are keyed by
   normalised parts tuples, the dual is taken on those tuples, and the
-  cached fusion products hold ((parts, coeff), ...).  degree_m04 reads its
+  cached fusion products are {parts: coeff} dicts.  degree_m04 reads its
   split terms from the same cached products and takes the conformal weight
   of each constituent that enters a term straight from its parts.
   Each half's vector comes from _fuse, and its keys keep the half's total
@@ -48,7 +48,6 @@ from .schur import _lr_mult, coinvariant_rank
 from .young import BlockSetup, Partition, SlWeight, dual_parts, dual_star, transpose
 
 
-@lru_cache(maxsize=None)
 def level_weights(r: int, level: int) -> tuple:
     """All weights of sl_{r+1} at the given level, in lexicographic order."""
     shapes = sorted(tuple(x for x in rows if x)
@@ -56,31 +55,15 @@ def level_weights(r: int, level: int) -> tuple:
     return tuple(SlWeight(r, s) for s in shapes)
 
 
-def _inner(r: int, a: Sequence[int], b: Sequence[int]) -> Fraction:
-    dot = sum(x * y for x, y in zip(a, b))
-    return Fraction(dot) - Fraction(sum(a) * sum(b), r + 1)
-
-
-def _casimir(r: int, parts: Partition) -> Fraction:
-    lam = parts + (0,) * (r + 1 - len(parts))
-    return _inner(r, lam, lam) + 2 * _inner(r, lam, range(r, -1, -1))
-
-
-def casimir(r: int, w: SlWeight) -> Fraction:
-    """(lambda, lambda + 2 rho) in the normalization where the highest root has square 2."""
-    if w.rank != r:
-        raise DomainError(f"{w} is not an sl_{r + 1} weight")
-    return _casimir(r, w.parts)
-
-
 def _conformal_weight(r: int, level: int, parts: Partition) -> Fraction:
-    """conformal_weight of normalised parts already known to fit the level."""
-    return _casimir(r, parts) / (2 * (level + r + 1))
+    """(lambda, lambda + 2 rho) / 2(level + r + 1) of normalised parts.
 
-
-def conformal_weight(r: int, level: int, w: SlWeight) -> Fraction:
-    BlockSetup(r, level, (w,))      # the setup check: w's rank, w inside the level alcove
-    return _conformal_weight(r, level, w.parts)
+    The highest root has square 2: on gl tuples (a, b) = a.b - |a||b|/(r+1),
+    and rho = (r, r-1, ..., 0), so (lambda, 2 rho) = 2 lambda.rho - r|lambda|.
+    """
+    size = sum(parts)
+    dot = sum(x * (x + 2 * (r - i)) for i, x in enumerate(parts)) - r * size
+    return Fraction(dot * (r + 1) - size * size, 2 * (r + 1) * (level + r + 1))
 
 
 def _alcove_reduce(diagram: Partition, r: int, level: int):
@@ -118,9 +101,14 @@ def _alcove_reduce(diagram: Partition, r: int, level: int):
     return tuple(parts), sign
 
 
-@lru_cache(maxsize=None)
-def _fusion_expand_cached(r: int, level: int, p: Partition, q: Partition) -> tuple:
-    """((parts, coeff), ...) of the fusion product of two normalised diagrams."""
+@lru_cache(maxsize=1 << 16)
+def _fusion_expand_cached(r: int, level: int, p: Partition, q: Partition) -> dict[Partition, int]:
+    """{parts: coeff} of the fusion product of two normalised diagrams, zeros absent.
+
+    The dict is the cache entry itself, so callers only read it, as with
+    _lr_mult.  The 2**16 entries bound the cache; one `ladder` operation list
+    of the benchmark fills about 2,900, and one `sweep` list about 900.
+    """
     acc: dict[Partition, int] = {}
     for u, mult in _lr_mult(p, q, r + 1).items():
         last = u[r] if len(u) > r else 0
@@ -136,7 +124,7 @@ def _fusion_expand_cached(r: int, level: int, p: Partition, q: Partition) -> tup
             continue
         parts, s = red
         acc[parts] = acc.get(parts, 0) + s * mult
-    return tuple(sorted((parts, c) for parts, c in acc.items() if c))
+    return {parts: c for parts, c in acc.items() if c}
 
 
 def _fuse(r: int, level: int, parts: Sequence[Partition]) -> dict[Partition, int]:
@@ -147,7 +135,7 @@ def _fuse(r: int, level: int, parts: Sequence[Partition]) -> dict[Partition, int
         nxt: dict[Partition, int] = {}
         for mu, c in vec.items():
             pair = (mu, q) if mu <= q else (q, mu)
-            for nu, m in _fusion_expand_cached(r, level, *pair):
+            for nu, m in _fusion_expand_cached(r, level, *pair).items():
                 nxt[nu] = nxt.get(nu, 0) + c * m
         vec = nxt
     return vec
@@ -345,19 +333,21 @@ def degree_m04(setup: BlockSetup) -> DegreeBreakdown:
 
     bulk = rank * sum of conformal weights; each split subtracts the
     conformal weights propagating through its node, weighted by the two
-    three-point ranks.  The difference must come out a non-negative integer.
+    three-point ranks.  The difference must come out a non-negative integer,
+    and 0 above the critical or theta level (the rank comes from
+    vanishing_report, which checks both ranks there too).
     """
     if setup.n != 4:
         raise DomainError(f"need exactly 4 weights, got {setup.n}")
     r, level = setup.r, setup.level
-    rank = cb_rank(setup)
+    rep = vanishing_report(setup)
     parts = [w.parts for w in setup.weights]
-    bulk = rank * sum(_conformal_weight(r, level, p) for p in parts)
+    bulk = rep.rank_cb * sum(_conformal_weight(r, level, p) for p in parts)
     pairings = []
     for (ia, ib), (ic, id_) in _SPLITS:
-        ab = dict(_fusion_expand_cached(r, level, *sorted((parts[ia], parts[ib]))))
+        ab = _fusion_expand_cached(r, level, *sorted((parts[ia], parts[ib])))
         term = Fraction(0)
-        for mu, n_cd in _fusion_expand_cached(r, level, *sorted((parts[ic], parts[id_]))):
+        for mu, n_cd in _fusion_expand_cached(r, level, *sorted((parts[ic], parts[id_]))).items():
             n_ab = ab.get(dual_parts(mu, r), 0)
             if n_ab:
                 term += _conformal_weight(r, level, mu) * n_ab * n_cd
@@ -367,4 +357,7 @@ def degree_m04(setup: BlockSetup) -> DegreeBreakdown:
         raise ConsistencyError(f"degree came out non-integral: {total}")
     if total < 0:
         raise ConsistencyError(f"degree came out negative: {total}")
+    if total and (rep.above_critical or rep.above_theta):
+        bound = "critical" if rep.above_critical else "theta"
+        raise ConsistencyError(f"degree {total} != 0 above a vanishing bound ({bound} level)")
     return DegreeBreakdown(int(total), bulk, tuple(pairings))

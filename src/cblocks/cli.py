@@ -43,25 +43,28 @@ def _weights_and_echo(ns):
 
 
 def _cmd_rank(ns):
-    from .cb import cb_rank, witten_rank
+    from .cb import vanishing_report, witten_rank
     from .schur import coinvariant_rank
 
     setup, params = _weights_and_echo(ns)
     results = {}
+    rep = None
     if ns.classical:
         params["classical"] = "true"
-        results["rank_classical"] = str(coinvariant_rank(setup.r, setup.weights))
     else:
         params["method"] = ns.method
         if ns.method in ("fusion", "both"):
-            results["rank_cb"] = str(cb_rank(setup))
+            # the report checks the two ranks against each other above either bound
+            rep = vanishing_report(setup)
+            results["rank_cb"] = str(rep.rank_cb)
         if ns.method in ("witten", "both"):
             results["rank_witten"] = str(witten_rank(setup))
         if ns.method == "both" and results["rank_cb"] != results["rank_witten"]:
             raise ConsistencyError(
                 f"rank routes disagree: fusion {results['rank_cb']} != "
                 f"witten {results['rank_witten']}")
-        results["rank_classical"] = str(coinvariant_rank(setup.r, setup.weights))
+    classical = coinvariant_rank(setup.r, setup.weights) if rep is None else rep.rank_classical
+    results["rank_classical"] = str(classical)
     return params, results
 
 
@@ -86,11 +89,7 @@ def _cmd_vanish(ns):
     setup, params = _weights_and_echo(ns)
     rep = vanishing_report(setup)
     if setup.n == 4 and (rep.above_critical or rep.above_theta):
-        degree = degree_m04(setup).degree
-        if degree:
-            bound = "critical" if rep.above_critical else "theta"
-            raise ConsistencyError(
-                f"degree {degree} != 0 above a vanishing bound ({bound} level)")
+        degree_m04(setup)    # raises ConsistencyError on a nonzero degree there
     results = {
         "critical_level": "undefined" if rep.critical_level is None else str(rep.critical_level),
         "theta_level": str(rep.theta_level),

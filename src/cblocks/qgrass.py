@@ -15,13 +15,11 @@ not depend on the removal order (checked in the tests, not assumed).  The
 betas sit in a descending list, so a removal is one slice rotation that
 moves beta_a - n down to its place.
 
-Input is validated once, at the public boundary: rim_hook_reduce
-canonicalises its partition and checks the row count, then runs the one
-removal loop (_remove_rim_hooks).  The product code hands that loop the LR
-kernel's constituents directly, since the kernel already returns canonical
-shapes with at most k rows.  A shape whose first row is at most n - k is
-in the box and comes back as it is, with no hooks and sign +1, before any
-beta numbers are built.
+The one removal loop, _remove_rim_hooks, takes the LR kernel's constituents
+as they come: the kernel already returns canonical shapes with at most k
+rows, so nothing checks them again.  A shape whose first row is at most
+n - k is in the box and comes back as it is, with no hooks and sign +1,
+before any beta numbers are built.
 
 Products use the cyclic symmetry of QH*(Gr(k, n)) (Agnihotri-Woodward,
 "Eigenvalues of products of unitary matrices and quantum Schubert
@@ -78,19 +76,12 @@ class GrassmannBox(namedtuple("GrassmannBox", "k n")):
         return (self.width,) * self.k
 
 
-def rim_hook_reduce(p: Partition, box: GrassmannBox):
+def _remove_rim_hooks(p: Partition, box: GrassmannBox):
     """Push p into the box by removing n-rim-hooks, always from the largest beta.
 
-    Returns (partition, hooks_removed, sign) or None for the zero class.
+    p is canonical with at most k rows, as every LR constituent is.  Returns
+    (partition, hooks_removed, sign) or None for the zero class.
     """
-    p = partition(p)
-    if len(p) > box.k:
-        raise DomainError(f"{p} has more than k={box.k} rows")
-    return _remove_rim_hooks(p, box)
-
-
-def _remove_rim_hooks(p: Partition, box: GrassmannBox):
-    """rim_hook_reduce on a canonical partition with at most k rows."""
     k, n = box.k, box.n
     if not p or p[0] <= n - k:
         return p, 0, 1

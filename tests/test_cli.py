@@ -373,25 +373,56 @@ def _shift_degree(monkeypatch, when):
     monkeypatch.setattr(cb, "degree_m04", shifted)
 
 
-@pytest.mark.parametrize("r, level, weights, bound", [
-    ("1", "2", "w1,w1,w1,w1", "critical"),   # critical level 1
-    ("2", "2", "w1,w1,w1,w2", "theta"),      # critical level undefined, theta level 1
+def _shift_conformal_weights(monkeypatch):
+    """Patch cb._conformal_weight to add 1.  The bulk term gains 4 * rank and
+    the three split terms 3 * rank together (each split's three-point ranks
+    multiply out to the rank), so every degree gains its setup's rank."""
+    from cblocks import cb
+
+    real = cb._conformal_weight
+    monkeypatch.setattr(cb, "_conformal_weight",
+                        lambda r, level, parts: real(r, level, parts) + 1)
+
+
+@pytest.mark.parametrize("command", ("vanish", "degree"))
+@pytest.mark.parametrize("r, level, weights, bound, degree", [
+    ("1", "2", "w1,w1,w1,w1", "critical", 2),   # critical level 1, rank 2
+    ("2", "2", "w1,w2,w2,2w2", "theta", 1),     # critical level 2, theta level 3/2, rank 1
 ])
-def test_vanish_nonzero_degree_above_a_bound_exits_3(monkeypatch, r, level, weights, bound):
-    code, out, _ = invoke("vanish", "--r", r, "--level", level, "--weights", weights)
-    assert code == 0
-    _shift_degree(monkeypatch, lambda r, level: True)
-    code, out, err = invoke("vanish", "--r", r, "--level", level, "--weights", weights)
+def test_nonzero_degree_above_a_bound_exits_3(monkeypatch, command, r, level, weights, bound,
+                                              degree):
+    argv = (command, "--r", r, "--level", level, "--weights", weights)
+    assert invoke(*argv)[0] == 0
+    _shift_conformal_weights(monkeypatch)
+    code, out, err = invoke(*argv)
     assert code == 3
     assert out == ""
-    assert f"degree 1 != 0 above a vanishing bound ({bound} level)" in err
+    assert f"degree {degree} != 0 above a vanishing bound ({bound} level)" in err
 
 
 def test_vanish_checks_no_degree_at_or_below_both_levels(monkeypatch):
-    _shift_degree(monkeypatch, lambda r, level: True)
-    code, out, _ = invoke("vanish", "--r", "2", "--level", "1", "--weights", "w1,w1,w2,w2")
+    _shift_conformal_weights(monkeypatch)
+    setup = ("--r", "2", "--level", "1", "--weights", "w1,w1,w2,w2")
+    code, out, _ = invoke("vanish", *setup)
     assert code == 0
     assert "above_critical  false" in out and "above_theta     false" in out
+    # the true degree 1 plus the rank 1
+    code, out, _ = invoke("degree", *setup)
+    assert code == 0 and "degree         2" in out
+
+
+@pytest.mark.parametrize("method", ("fusion", "both"))
+def test_rank_disagreement_with_classical_above_critical_exits_3(monkeypatch, method):
+    from cblocks import cb
+
+    real = cb.cb_rank
+    monkeypatch.setattr(cb, "cb_rank", lambda setup: real(setup) - 1)
+    # critical level 5 and theta level 9/2, so level 6 is above both
+    code, out, err = invoke("rank", "--r", "2", "--level", "6",
+                            "--weights", "2w1+w2,w2,2w1,2w2,3w2", "--method", method)
+    assert code == 3
+    assert out == ""
+    assert "classical 7 != conformal blocks 6" in err
 
 
 def test_partner_degree_disagreement_at_critical_exits_3(monkeypatch):
