@@ -384,13 +384,16 @@ def _shift_conformal_weights(monkeypatch):
                         lambda r, level, parts: real(r, level, parts) + 1)
 
 
-@pytest.mark.parametrize("command", ("vanish", "degree"))
-@pytest.mark.parametrize("r, level, weights, bound, degree", [
-    ("1", "2", "w1,w1,w1,w1", "critical", 2),   # critical level 1, rank 2
-    ("2", "2", "w1,w2,w2,2w2", "theta", 1),     # critical level 2, theta level 3/2, rank 1
-])
-def test_nonzero_degree_above_a_bound_exits_3(monkeypatch, command, r, level, weights, bound,
-                                              degree):
+# (r, level, weights, bound, degree after _shift_conformal_weights)
+_NONZERO_ABOVE_A_BOUND = [
+    pytest.param("1", "2", "w1,w1,w1,w1", "critical", 2,      # critical level 1, rank 2
+                 id="1-2-w1,w1,w1,w1-critical"),
+    pytest.param("2", "2", "w1,w2,w2,2w2", "theta", 1,        # critical level 2, theta level 3/2,
+                 id="2-2-w1,w2,w2,2w2-theta"),                # rank 1
+]
+
+
+def _check_nonzero_degree_exits_3(monkeypatch, command, r, level, weights, bound, degree):
     argv = (command, "--r", r, "--level", level, "--weights", weights)
     assert invoke(*argv)[0] == 0
     _shift_conformal_weights(monkeypatch)
@@ -398,6 +401,17 @@ def test_nonzero_degree_above_a_bound_exits_3(monkeypatch, command, r, level, we
     assert code == 3
     assert out == ""
     assert f"degree {degree} != 0 above a vanishing bound ({bound} level)" in err
+
+
+@pytest.mark.parametrize("r, level, weights, bound, degree", _NONZERO_ABOVE_A_BOUND)
+def test_vanish_nonzero_degree_above_a_bound_exits_3(monkeypatch, r, level, weights, bound,
+                                                     degree):
+    _check_nonzero_degree_exits_3(monkeypatch, "vanish", r, level, weights, bound, degree)
+
+
+@pytest.mark.parametrize("r, level, weights, bound, degree", _NONZERO_ABOVE_A_BOUND)
+def test_degree_nonzero_above_a_bound_exits_3(monkeypatch, r, level, weights, bound, degree):
+    _check_nonzero_degree_exits_3(monkeypatch, "degree", r, level, weights, bound, degree)
 
 
 def test_vanish_checks_no_degree_at_or_below_both_levels(monkeypatch):
