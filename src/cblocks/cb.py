@@ -28,7 +28,9 @@ Two independent rank algorithms are kept deliberately separate:
   one entry, and the memo contracts in that sorted order.
 
 * witten_rank evaluates one big quantum Schubert product on Gr(r+1, r+1+l)
-  and reads off a single coefficient.
+  and reads off a single coefficient.  Its level class sigma_l = sigma_(n-k)
+  is the generator T of the cyclic symmetry, so the s level classes are one
+  rotation of the product, with no LR expansion.
 
 They share no reduction code, so their agreement is evidence rather than
 tautology.  On three points the split is one fusion coefficient read off by
@@ -173,7 +175,10 @@ def _cb_rank(r: int, level: int, parts: tuple) -> int:
 
 
 def witten_rank(setup: BlockSetup):
-    """Bundle rank as one quantum Schubert coefficient on Gr(r+1, r+1+level)."""
+    """Bundle rank as one quantum Schubert coefficient on Gr(r+1, r+1+level).
+
+    sigma_level = sigma_(n-k) = T, so the s level classes are one rotation.
+    """
     from .qgrass import GrassmannBox, gw_invariant
 
     c = critical_level(setup.r, setup.weights)

@@ -30,17 +30,18 @@ beta - 1 mod n and costs one q unless 0 is a beta (then the top row n - k
 is added instead); a full turn costs q^(n-k).  An orbit may close after a
 divisor of n steps (in Gr(2,4), sigma_(1) and sigma_(2,1) form one of
 length 2).  Each shape p has its orbit data (p0, a, e): p0 is the smallest
-shape of its T-orbit by (size, shape) and T^a sigma_p0 = q^e sigma_p.  So
-sigma_p * sigma_q = q^(-e-f) T^(a+b) (sigma_p0 * sigma_q0), and only the
-representatives' product is an LR expansion reduced by rim hooks
-(_orbit_mult).  _quantum_mult rotates its terms, checks that each q degree
-comes out non-negative, and caches the result per pair; its output does not
-depend on the order of the factors, so it passes the representatives to
-_orbit_mult in a canonical order (the LR kernel picks the cheaper
-orientation itself).  quantum_product and gw_invariant both expand over
-plain {(shape, q_degree): coeff} dicts through that cache; gw_invariant
-folds its classes in from the left and reads off the q^d point-class
-coefficient.
+shape of its T-orbit by (size, shape) and T^a sigma_p0 = q^e sigma_p.
+
+Products run in orbit coordinates: a key (u0, rot, deg) stands for
+q^deg T^rot sigma_u0, u0 a representative and 0 <= rot < n, with T^n =
+q^(n-k).  Multiplying two keys adds rotations and degrees and multiplies
+the representatives: an LR expansion reduced by rim hooks and re-expressed
+in orbit coordinates, cached once per unordered pair (_orbit_mult).  The
+orbit of () holds the unit, sigma_(n-k) and its powers, so a factor with
+representative () is a rotation with no LR product.  A term leaves orbit
+coordinates once, through its rotation table, when quantum_product returns
+or gw_invariant reads the q^d point-class coefficient; its q degree must
+then come out non-negative.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from .young import Partition, fits_box, partition
 class GrassmannBox(namedtuple("GrassmannBox", "k n")):
     """Gr(k, n): k-planes in n-space; Schubert classes fit in k x (n-k).
 
-    Boxes compare and hash by (k, n); _quantum_mult caches on them.
+    Boxes compare and hash by (k, n); the orbit caches key on them.
     """
 
     __slots__ = ()
@@ -135,7 +136,7 @@ class QClass(namedtuple("QClass", "box terms")):
         return dict(self.terms).get((partition(p), q_degree), 0)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2**14)
 def _orbit(p: Partition, box: GrassmannBox) -> tuple:
     """(p0, a, e, turn) for the T-orbit of sigma_p, T = sigma_(n-k).
 
@@ -164,57 +165,56 @@ def _orbit(p: Partition, box: GrassmannBox) -> tuple:
     return turn[j][0], -j % n, e, tuple(turn)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2**14)
 def _orbit_mult(p0: Partition, q0: Partition, box: GrassmannBox) -> tuple:
-    """sigma_p0 * sigma_q0 for two orbit representatives, reduced into the box.
+    """sigma_p0 * sigma_q0 for representatives p0 >= q0 > () as (((u0, rot, deg), coeff), ...).
 
-    Returns (((shape, q_degree), coeff), ...), zeros absent.  _quantum_mult
-    calls it with p0 >= q0, so each unordered pair has one entry: at most
-    o(o+1)/2 entries per box for o orbits.
+    One entry per unordered pair: at most o(o+1)/2 per box for o orbits.
     """
-    acc: dict[tuple[Partition, int], int] = {}
+    acc: dict[tuple[Partition, int, int], int] = {}
     for u, m in _lr_mult.__wrapped__(p0, q0, box.k).items():
         red = _remove_rim_hooks(u, box)
         if red is not None:
             shape, d, sign = red
-            acc[shape, d] = acc.get((shape, d), 0) + sign * m
+            u0, a, e, _ = _orbit(shape, box)
+            acc[u0, a, d - e] = acc.get((u0, a, d - e), 0) + sign * m
     return tuple((key, c) for key, c in acc.items() if c)
 
 
-@lru_cache(maxsize=None)
-def _quantum_mult(p: Partition, q: Partition, box: GrassmannBox) -> tuple:
-    """sigma_p * sigma_q as (((shape, q_degree), coeff), ...), zeros absent.
-
-    With T^a sigma_p0 = q^e sigma_p and T^b sigma_q0 = q^f sigma_q, the
-    product is q^(-e-f) T^(a+b) (sigma_p0 * sigma_q0): the representatives'
-    product rotated term by term.
-    """
-    p0, a, e, _ = _orbit(p, box)
-    q0, b, f, _ = _orbit(q, box)
-    if p0 < q0:
-        p0, q0 = q0, p0
-    k, n = box.k, box.n
-    turns, m = divmod(a + b, n)
-    shift = turns * (n - k) - e - f
-    out = []
-    for (u, d), c in _orbit_mult(p0, q0, box):
-        v, g = _orbit(u, box)[3][m]
-        d += g + shift
-        if d < 0:
-            raise ConsistencyError(
-                f"sigma_{p} * sigma_{q} in Gr({k},{n}): term sigma_{v} has q degree {d}")
-        out.append(((v, d), c))
-    return tuple(out)
+def _to_orbit(terms, box: GrassmannBox) -> dict:
+    """{(u0, rot, deg): coeff} for ((shape, q_degree), coeff) terms."""
+    acc: dict[tuple[Partition, int, int], int] = {}
+    for (p, d), c in terms:
+        p0, a, e, _ = _orbit(p, box)
+        acc[p0, a, d - e] = acc.get((p0, a, d - e), 0) + c
+    return acc
 
 
-def _product(a, b, box: GrassmannBox) -> dict[tuple[Partition, int], int]:
-    """Product of two iterables of ((shape, q_degree), coeff) terms."""
+def _orbit_product(x: dict, y: dict, box: GrassmannBox) -> dict:
+    """Product of two {(u0, rot, deg): coeff} classes; a () factor only rotates."""
+    n, w = box.n, box.width
+    acc: dict[tuple[Partition, int, int], int] = {}
+    for (u0, a, e), c in x.items():
+        for (p0, b, f), m in y.items():
+            hi, lo = (u0, p0) if u0 > p0 else (p0, u0)
+            terms = _orbit_mult(hi, lo, box) if lo else (((hi, 0, 0), 1),)
+            for (v0, g, h), t in terms:
+                turns, rot = divmod(a + b + g, n)
+                key = (v0, rot, e + f + h + turns * w)
+                acc[key] = acc.get(key, 0) + c * m * t
+    return acc
+
+
+def _from_orbit(x: dict, box: GrassmannBox) -> dict[tuple[Partition, int], int]:
+    """{(shape, q_degree): coeff}; each term's q degree must come out non-negative."""
     acc: dict[tuple[Partition, int], int] = {}
-    for (p, da), ca in a:
-        for (q, db), cb in b:
-            for (u, e), m in _quantum_mult(p, q, box):
-                key = (u, da + db + e)
-                acc[key] = acc.get(key, 0) + ca * cb * m
+    for (u0, rot, deg), c in x.items():
+        v, g = _orbit(u0, box)[3][rot]
+        deg += g
+        if deg < 0:
+            raise ConsistencyError(
+                f"product in Gr({box.k},{box.n}): term sigma_{v} has q degree {deg}")
+        acc[v, deg] = acc.get((v, deg), 0) + c
     return acc
 
 
@@ -222,7 +222,9 @@ def quantum_product(a: QClass, b: QClass) -> QClass:
     """q-linear product: classical LR expansion, then rim-hook reduction."""
     if a.box != b.box:
         raise DomainError(f"box mismatch: {a.box} vs {b.box}")
-    return QClass(a.box, _product(a.terms, b.terms, a.box))
+    box = a.box
+    return QClass(box, _from_orbit(
+        _orbit_product(_to_orbit(a.terms, box), _to_orbit(b.terms, box), box), box))
 
 
 def gw_invariant(box: GrassmannBox, classes: Sequence[Partition], d: int):
@@ -237,7 +239,8 @@ def gw_invariant(box: GrassmannBox, classes: Sequence[Partition], d: int):
         return 0
     if sum(sum(p) for p in classes) != box.k * box.width + box.n * d:
         return 0
-    acc = {(classes[0], 0): 1}
-    for p in classes[1:]:
-        acc = _product(acc.items(), (((p, 0), 1),), box)
-    return acc.get((box.point_class, d), 0)
+    # rotations of () first, so they turn a single term
+    acc = {((), 0, 0): 1}
+    for p in sorted(classes, key=lambda p: bool(_orbit(p, box)[0])):
+        acc = _orbit_product(acc, _to_orbit((((p, 0), 1),), box), box)
+    return _from_orbit(acc, box).get((box.point_class, d), 0)

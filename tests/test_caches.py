@@ -6,11 +6,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "cblocks"
 
 # The unbounded caches that predate the rule below.  Bounding one removes it
 # from this list; nothing is added to it.
-UNBOUNDED = {
-    "qgrass._quantum_mult",
-    "qgrass._orbit",
-    "qgrass._orbit_mult",
-}
+UNBOUNDED = set()
 
 # every way of making a functools cache in the source: lru_cache(...), a bare
 # @lru_cache, cache(...) and @cache, with or without the module prefix

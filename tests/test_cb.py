@@ -158,6 +158,15 @@ def test_witten_rank_values():
     assert witten_rank(BlockSetup(2, 4, ROW5_WEIGHTS)) == 8
 
 
+def test_witten_rank_with_eight_level_classes():
+    # sl3, 14 points at level 7, total 45: s = 8 copies of sigma_7 = T in
+    # Gr(3, 10), folded in as one rotation
+    setup = BlockSetup(2, 7, parse_weight_list(
+        "3w1+w2,w1,2w2,w1+w2,4w1,w2,2w1+w2,w1+2w2,3w2,w1,3w1,w1+w2,2w1,w2", 2))
+    assert critical_level(2, setup.weights) + 1 - setup.level == 8
+    assert witten_rank(setup) == cb_rank(setup) == 5677872
+
+
 def test_critical_and_theta_levels():
     w1 = SlWeight(2, (1,))
     assert critical_level(2, (w1,) * 6) == 1

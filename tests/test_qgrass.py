@@ -4,13 +4,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cblocks.errors import DomainError
+from cblocks import qgrass
+from cblocks.errors import ConsistencyError, DomainError
 from cblocks.qgrass import (
     GrassmannBox,
     QClass,
     _orbit,
     _orbit_mult,
-    _quantum_mult,
     _remove_rim_hooks,
     gw_invariant,
     quantum_product,
@@ -18,6 +18,7 @@ from cblocks.qgrass import (
 from cblocks.schur import _lr_mult
 from cblocks.young import conjugate, partition, row
 from strategies import boxed_partitions
+from test_cli import golden_argv, invoke
 
 
 def _reference_rim_hook_reduce(p, box, choose=max):
@@ -54,6 +55,18 @@ def _reference_quantum_mult(p, q, box):
             shape, d, sign = red
             acc[shape, d] = acc.get((shape, d), 0) + sign * m
     return {key: c for key, c in acc.items() if c}
+
+
+def _reference_gw(box, classes, d):
+    """Left fold of the reference pair product; the q^d point-class coefficient."""
+    acc = {(classes[0], 0): 1}
+    for p in classes[1:]:
+        folded = {}
+        for (u, e), c in acc.items():
+            for (v, f), m in _reference_quantum_mult(u, p, box).items():
+                folded[v, e + f] = folded.get((v, e + f), 0) + c * m
+        acc = folded
+    return acc.get((box.point_class, d), 0)
 
 
 def _box_shapes(k, width):
@@ -211,9 +224,9 @@ def test_rim_hook_reduce_matches_reference(box_shape):
 @given(_box_pairs())
 def test_quantum_mult_matches_reference(box_pair):
     box, p, q = box_pair
-    expected = _reference_quantum_mult(p, q, box)
-    assert _quantum_mult(p, q, box) == _quantum_mult(q, p, box)
-    assert dict(_quantum_mult(p, q, box)) == expected
+    product = quantum_product(QClass.of(box, p), QClass.of(box, q))
+    assert product == quantum_product(QClass.of(box, q), QClass.of(box, p))
+    assert dict(product.terms) == _reference_quantum_mult(p, q, box)
 
 
 def test_cyclic_symmetry():
@@ -244,8 +257,8 @@ def test_quantum_mult_matches_reference_exhaustively():
         shapes = _box_shapes(k, n - k)
         for p in shapes:
             for q in shapes:
-                assert dict(_quantum_mult(p, q, box)) == _reference_quantum_mult(p, q, box), \
-                    (box, p, q)
+                product = quantum_product(QClass.of(box, p), QClass.of(box, q))
+                assert dict(product.terms) == _reference_quantum_mult(p, q, box), (box, p, q)
                 pairs += 1
     assert pairs == 7356
 
@@ -292,10 +305,57 @@ def test_products_expand_only_orbit_representatives():
     box = GrassmannBox(3, 7)   # 35 shapes in 5 orbits of length 7
     shapes = _box_shapes(3, 4)
     assert len({_orbit(p, box)[0] for p in shapes}) == 5
-    _quantum_mult.cache_clear()
     _orbit_mult.cache_clear()
     for p in shapes:
         for q in shapes:
-            _quantum_mult(p, q, box)
-    assert _quantum_mult.cache_info().currsize == 35 * 35
-    assert _orbit_mult.cache_info().currsize <= 5 * 5
+            quantum_product(QClass.of(box, p), QClass.of(box, q))
+    # one entry per unordered pair of the four representatives other than ():
+    # a factor in the orbit of () is a rotation, within o(o+1)/2 = 15
+    assert _orbit_mult.cache_info().currsize == 4 * 5 // 2
+
+
+def test_gw_invariant_matches_reference_fold_exhaustively():
+    # every multiset of 2-4 classes in the boxes with k <= 3, n <= 6 that is
+    # graded for some d <= 2, in both orders; the fold takes rotations of ()
+    # (sigma_(n-k), its powers, the unit) out of order
+    checked = 0
+    level_copies = set()
+    other_rotations = 0
+    for k in range(1, 4):
+        for n in range(k + 1, 7):
+            box = GrassmannBox(k, n)
+            rotations = {u for u, _ in _orbit((), box)[3]} - {(), (n - k,)}
+            for size in range(2, 5):
+                for classes in combinations_with_replacement(_box_shapes(k, n - k), size):
+                    d, rest = divmod(sum(map(sum, classes)) - k * (n - k), n)
+                    if rest or not 0 <= d <= 2:
+                        continue
+                    expected = _reference_gw(box, classes, d)
+                    assert gw_invariant(box, classes, d) == expected, (box, classes, d)
+                    assert gw_invariant(box, classes[::-1], d) == expected, (box, classes, d)
+                    level_copies.add(classes.count((n - k,)))
+                    other_rotations += any(p in rotations for p in classes)
+                    checked += 1
+    assert {1, 2, 3} <= level_copies
+    assert other_rotations > 0
+    assert checked == 2775
+
+
+def test_negative_q_degree_raises_and_exits_3(monkeypatch):
+    real = qgrass._orbit
+
+    def shifted(p, box):   # T^a sigma_p0 = q^(e+1) sigma_p, one q too many
+        p0, a, e, turn = real(p, box)
+        return p0, a, e + 1, turn
+
+    monkeypatch.setattr(qgrass, "_orbit", shifted)
+    box = GrassmannBox(2, 4)
+    # sigma_(2) * sigma_(1,1) = q comes out as q^-1
+    with pytest.raises(ConsistencyError, match="q degree -1"):
+        quantum_product(QClass.of(box, (2,)), QClass.of(box, (1, 1)))
+    with pytest.raises(ConsistencyError, match="q degree -2"):
+        gw_invariant(box, [(2,), (1, 1), (2, 2)], 1)
+    # the gw command's README input is the same invariant
+    code, out, err = invoke(*golden_argv("gw"))
+    assert (code, out) == (3, "")
+    assert "has q degree -2" in err

@@ -89,6 +89,9 @@ def _runs():
     rank = golden_argv("rank")
     for extra in (["--method", "fusion"], ["--method", "witten"], ["--classical"]):
         yield rank + extra, 0
+    # at its critical level (s = 1) the quantum route multiplies classes
+    # outside the orbit of (), so it reaches the LR product and rim hooks
+    yield ["rank"] + golden_argv("hassett")[1:7] + ["--method", "witten"], 0
     yield golden_argv("partner") + ["--force"], 0
     yield ["rank", "--r", "2", "--weights", "w1,w1"], 1
     yield ["rank", "--r", "2", "--level", "1", "--weights", "2w1,w1"], 2
