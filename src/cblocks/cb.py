@@ -25,7 +25,11 @@ Two independent rank algorithms are kept deliberately separate:
   cb_rank returns 0 without contracting when it does not.  Otherwise it
   reads a bounded memo (_cb_rank) keyed on (r, level, sorted diagrams): the
   rank is symmetric in the points, so every ordering of a multiset shares
-  one entry, and the memo contracts in that sorted order.
+  one entry, and the memo contracts in that sorted order.  Its classical
+  products are unbounded, and they fill the LR memo's slots
+  (schur._lr_mult); where both routes run, as in vanishing_report, the
+  fusion route runs first, so the classical route reads those products and
+  drops what lies outside its box instead of walking boxed copies.
 
 * witten_rank evaluates one big quantum Schubert product on Gr(r+1, r+1+l)
   and reads off a single coefficient.  Its level class sigma_l = sigma_(n-k)
@@ -203,23 +207,31 @@ def critical_level(r: int, weights: Sequence[SlWeight]) -> int | None:
 class VanishingReport:
     """Levels, strict-threshold flags and both ranks of one setup.
 
-    The theta level is built from the stored first-row sum when it is read,
-    so a report whose theta level is never read builds no Fraction.
+    Building one from a setup makes the one pass over its weights that gives
+    both levels and both flags; vanishing_report then sets the three rank
+    fields, which are unset until it does.  The theta level is built from the
+    stored first-row sum when it is read, so a report whose theta level is
+    never read builds no Fraction.
     """
 
     __slots__ = ("critical_level", "first_rows", "above_critical", "above_theta",
                  "rank_classical", "rank_cb", "ranks_equal")
 
-    def __init__(self, critical_level: int | None, first_rows: int,
-                 above_critical: bool, above_theta: bool,
-                 rank_classical: int, rank_cb: int, ranks_equal: bool):
-        self.critical_level = critical_level
+    def __init__(self, setup: BlockSetup):
+        r, level = setup.r, setup.level
+        # the total size gives the critical level, the first-row sum the theta level
+        total = first_rows = 0
+        for w in setup.weights:
+            p = w.parts
+            if p:
+                total += sum(p)
+                first_rows += p[0]
+        c = None if total % (r + 1) else total // (r + 1) - 1
+        self.critical_level = c
         self.first_rows = first_rows
-        self.above_critical = above_critical
-        self.above_theta = above_theta
-        self.rank_classical = rank_classical
-        self.rank_cb = rank_cb
-        self.ranks_equal = ranks_equal
+        self.above_critical = c is not None and level > c
+        # level > theta_level = (first_rows - 2) / 2
+        self.above_theta = 2 * level > first_rows - 2
 
     @property
     def theta_level(self) -> Fraction:
@@ -233,33 +245,25 @@ def vanishing_report(setup: BlockSetup) -> VanishingReport:
     Above either threshold the two ranks must agree; a disagreement raises
     ConsistencyError instead of being reported.  When r+1 does not divide the
     total size both ranks are 0 (the docstrings of coinvariant_rank and
-    cb_rank), and neither route is called.
+    cb_rank), and neither route is called.  The fusion route runs first, so
+    the classical route finds its LR products in the memo and filters them
+    to its box instead of walking boxed copies (schur._lr_mult).
     """
-    r, level = setup.r, setup.level
-    # one pass gives the total size (critical level) and the first-row sum (theta level)
-    total = first_rows = 0
-    for w in setup.weights:
-        p = w.parts
-        if p:
-            total += sum(p)
-            first_rows += p[0]
-    if total % (r + 1):
-        c = None
+    rep = VanishingReport(setup)
+    if rep.critical_level is None:
         rank_a = rank_v = 0
     else:
-        c = total // (r + 1) - 1
-        rank_a = coinvariant_rank(r, setup.weights)
         rank_v = cb_rank(setup)
-    above_critical = c is not None and level > c
-    # level > theta_level = (first_rows - 2) / 2
-    above_theta = 2 * level > first_rows - 2
-    if (above_critical or above_theta) and rank_a != rank_v:
-        bound = "critical" if above_critical else "theta"
+        rank_a = coinvariant_rank(setup.r, setup.weights)
+    if (rep.above_critical or rep.above_theta) and rank_a != rank_v:
+        bound = "critical" if rep.above_critical else "theta"
         raise ConsistencyError(
             f"ranks differ above a vanishing bound ({bound} level): "
             f"classical {rank_a} != conformal blocks {rank_v}")
-    return VanishingReport(c, first_rows, above_critical, above_theta,
-                           rank_a, rank_v, rank_a == rank_v)
+    rep.rank_classical = rank_a
+    rep.rank_cb = rank_v
+    rep.ranks_equal = rank_a == rank_v
+    return rep
 
 
 PartnerData = namedtuple(

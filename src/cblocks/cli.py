@@ -43,12 +43,12 @@ def _weights_and_echo(ns):
 
 
 def _cmd_rank(ns):
-    from .cb import vanishing_report, witten_rank
+    from .cb import VanishingReport, vanishing_report, witten_rank
     from .schur import coinvariant_rank
 
     setup, params = _weights_and_echo(ns)
     results = {}
-    rep = None
+    rep = witten = None
     if ns.classical:
         params["classical"] = "true"
     else:
@@ -58,12 +58,24 @@ def _cmd_rank(ns):
             rep = vanishing_report(setup)
             results["rank_cb"] = str(rep.rank_cb)
         if ns.method in ("witten", "both"):
-            results["rank_witten"] = str(witten_rank(setup))
-        if ns.method == "both" and results["rank_cb"] != results["rank_witten"]:
+            witten = witten_rank(setup)
+            results["rank_witten"] = str(witten)
+        if ns.method == "both" and rep.rank_cb != witten:
             raise ConsistencyError(
-                f"rank routes disagree: fusion {results['rank_cb']} != "
-                f"witten {results['rank_witten']}")
-    classical = coinvariant_rank(setup.r, setup.weights) if rep is None else rep.rank_classical
+                f"rank routes disagree: fusion {rep.rank_cb} != witten {witten}")
+    if rep is None:
+        classical = coinvariant_rank(setup.r, setup.weights)
+        if witten is not None:
+            # the check vanishing_report makes on the fusion route's rank, from
+            # the same level pass (a report whose ranks are left unset)
+            levels = VanishingReport(setup)
+            if (levels.above_critical or levels.above_theta) and classical != witten:
+                bound = "critical" if levels.above_critical else "theta"
+                raise ConsistencyError(
+                    f"ranks differ above a vanishing bound ({bound} level): "
+                    f"classical {classical} != witten {witten}")
+    else:
+        classical = rep.rank_classical
     results["rank_classical"] = str(classical)
     return params, results
 

@@ -51,7 +51,7 @@ from collections.abc import Sequence
 from functools import lru_cache
 
 from .errors import ConsistencyError, DomainError
-from .schur import _lr_mult
+from .schur import _lr_walk
 from .young import Partition, fits_box, partition
 
 
@@ -172,7 +172,7 @@ def _orbit_mult(p0: Partition, q0: Partition, box: GrassmannBox) -> tuple:
     One entry per unordered pair: at most o(o+1)/2 per box for o orbits.
     """
     acc: dict[tuple[Partition, int, int], int] = {}
-    for u, m in _lr_mult.__wrapped__(p0, q0, box.k).items():
+    for u, m in _lr_walk(p0, q0, box.k).items():
         red = _remove_rim_hooks(u, box)
         if red is not None:
             shape, d, sign = red

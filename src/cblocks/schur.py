@@ -7,7 +7,7 @@ the count of i's in rows 1..j may not exceed the count of (i-1)'s in rows
 every shape with too many rows at each step, which keeps intermediate
 expansions inside the world the rank computations live in.
 
-The kernel _lr_mult works on plain row tuples padded to the row bound.  It
+The kernel _lr_walk works on plain row tuples padded to the row bound.  It
 adds one letter per row of its second factor, so it first orients the pair
 (c^nu_{p,q} = c^nu_{q,p}): the factor with fewer rows, then fewer cells,
 goes second, and an empty second factor returns at once.  For each (shape,
@@ -23,6 +23,18 @@ keeps only constituents inside it, and clips every intermediate shape too:
 this is the skew bound of lrcalc-style enumerators, and exact because a
 product never shrinks a shape.
 
+The memo _lr_mult(p, q, row_bound, width) sits in front of the kernel.  It
+keeps one slot per (p, q, row_bound), holding the product walked at the
+widest first-row bound asked so far; a bound of p[0] + q[0] or more cannot
+bind, so it is the unbounded product.  It walks again only when a caller
+asks for more than the slot holds, so its answer may hold constituents
+wider than the width asked, and callers that pass a width drop them.  On
+one `ladder` list of the benchmark (seed 3), cb_rank then coinvariant_rank
+fill 1,182 slots and walk each once, all unbounded; coinvariant_rank alone
+fills 1,166 slots with 1,483 walks, 846 of them boxed.  Before the slots, a
+boxed product had its own cache entry, and the same list walked 2,648
+products.
+
 The coinvariant rank of a weight tuple is the coefficient of the forced
 (r+1) x width box in the product of its Schur functions.  Each half of the
 tuple is multiplied out inside the box, and the halves are joined by the
@@ -32,11 +44,13 @@ shape u loses its c = u[r] full columns: in r+1 variables
 s_{u + c^{r+1}} = det^c * s_u, so s_u * s_q is the product of the normalised
 shape with q, each constituent shifted by c columns, and it lies in the box
 exactly when the unshifted constituent lies in the box c columns narrower.
-The step passes that narrower box as `outer` only when it can bind, that is
-when u[0] + q[0] exceeds the full width; otherwise every constituent already
-fits, and the step shares the unbounded product's cache entry with other
-boxes and with the fusion route, which multiplies normalised shapes too and
-orders each pair the same way ((u, q) if u <= q).
+The step asks _lr_mult for the product at that narrower width and drops
+what lies outside it.  The box binds only when u[0] + q[0] exceeds the full
+width; otherwise the ask is the unbounded product.  Either way the step
+reads the slot that the fusion route fills, since it too multiplies
+normalised shapes and orders each pair the same way ((u, q) if u <= q).
+When the fusion route has run first, as in vanishing_report, the slot holds
+the unbounded product and the classical route walks nothing.
 coinvariant_rank checks every rank, sums the sizes and finds the longest
 first row in one pass over the weights, takes its early returns, then reads
 a bounded memo (_coinvariant_rank) keyed on r, the box width and the sorted
@@ -60,17 +74,15 @@ from .errors import CapacityError, DomainError
 from .young import Partition, SlWeight, partition, row
 
 
-@lru_cache(maxsize=1 << 16)
-def _lr_mult(p: Partition, q: Partition, row_bound: int,
+def _lr_walk(p: Partition, q: Partition, row_bound: int,
              outer: Partition | None = None) -> dict[Partition, int]:
     """Expansion of s_p * s_q in Schur functions of `row_bound` variables.
 
     With `outer`, only the constituents contained in that shape are kept;
     every intermediate shape is clipped to it as well.  The product is
     symmetric, so the factor with fewer rows, then fewer cells, goes second:
-    the walk adds one letter per row of the second factor.  The 2**16
-    entries bound the cache; one `ladder` operation list of the benchmark
-    fills about 2,800, and one `sweep` list about 2,300.
+    the walk adds one letter per row of the second factor.  Nothing is
+    cached here; _lr_mult is the memo.
     """
     size_p, size_q = sum(p), sum(q)
     if (len(q), size_q) > (len(p), size_p):
@@ -147,6 +159,46 @@ def _lr_mult(p: Partition, q: Partition, row_bound: int,
     return out
 
 
+@lru_cache(maxsize=1 << 16)
+def _lr_slot(p: Partition, q: Partition, row_bound: int) -> list:
+    """The memo slot of one pair: [first-row bound walked, product].
+
+    A new slot holds [-1, {}], which is right for every bound below 0.
+    """
+    return [-1, {}]
+
+
+def _lr_mult(p: Partition, q: Partition, row_bound: int,
+             width: int | None = None) -> dict[Partition, int]:
+    """s_p * s_q in `row_bound` variables, at least every constituent whose
+    first row is at most `width` (all of them when `width` is None).
+
+    One slot per (p, q, row_bound) keeps the product walked at the widest
+    first-row bound asked so far.  A bound of p[0] + q[0] or more cannot
+    bind, so it is the unbounded product; the walk runs again only when a
+    caller asks for more than the slot holds.  The answer may therefore hold
+    constituents wider than `width`, and a caller that passes one drops
+    them.  The dict is the slot's own, so callers only read it.  The 2**16
+    slots bound the memo.  One `ladder` operation list of the benchmark
+    fills about 1,200 and walks each once, unbounded, since each setup runs
+    cb_rank before coinvariant_rank; one `sweep` list fills about 1,000
+    with about 1,350 walks.  With a cache entry per boxed product these
+    lists walked about 2,700 and 2,200 products.
+    """
+    slot = _lr_slot(p, q, row_bound)
+    full = (p[0] if p else 0) + (q[0] if q else 0)
+    if width is None or width > full:
+        width = full
+    if slot[0] < width:
+        slot[1] = _lr_walk(p, q, row_bound, None if width == full else (width,) * row_bound)
+        slot[0] = width
+    return slot[1]
+
+
+# the benchmark reads the memo's hits and misses through _lr_mult
+_lr_mult.cache_info = _lr_slot.cache_info
+
+
 def coinvariant_rank(r: int, weights: Sequence[SlWeight]):
     """Rank of the sl_{r+1} coinvariant space of the tensor product.
 
@@ -183,25 +235,24 @@ def _coinvariant_rank(r: int, width: int, parts: tuple) -> int:
     level.  The 2**14 entries bound the cache; one `sweep` operation list
     of 40,000 setups fills about 2,500.
     """
-    # every partial product only grows, so shapes outside the box are dropped;
-    # the box binds only when some constituent's first row could pass its width.
-    # A shape's c full columns come off before the product and go back on after
+    # every partial product only grows, so shapes outside the box are dropped:
+    # _lr_mult walks inside the box unless its slot already holds a wider
+    # product.  A shape's c full columns come off before the product and go
+    # back on after
     h = len(parts) // 2
     halves = []
     for half in (parts[:h], parts[h:][::-1]):
         acc = {half[0] if half else (): 1}
         for q in half[1:]:
-            q0 = q[0] if q else 0
             nxt: dict[Partition, int] = {}
             for shape, mult in acc.items():
                 c = shape[r] if len(shape) > r else 0
                 base = tuple([x - c for x in shape if x > c]) if c else shape
                 a, b = (base, q) if base <= q else (q, base)
-                if shape and shape[0] + q0 > width:
-                    product = _lr_mult(a, b, r + 1, (width - c,) * (r + 1))
-                else:
-                    product = _lr_mult(a, b, r + 1)
-                for u, m in product.items():
+                fit = width - c
+                for u, m in _lr_mult(a, b, r + 1, fit).items():
+                    if u and u[0] > fit:
+                        continue    # from a slot walked wider than this box
                     if c:
                         u = tuple([x + c for x in u]) + (c,) * (r + 1 - len(u))
                     nxt[u] = nxt.get(u, 0) + mult * m

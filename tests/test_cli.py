@@ -325,6 +325,25 @@ def test_rank_both_disagreement_exits_3(monkeypatch):
     assert "fusion 1 != witten 2" in err
 
 
+def test_rank_witten_disagreement_with_classical_above_critical_exits_3(monkeypatch):
+    from cblocks import cb
+
+    real = cb.witten_rank
+    monkeypatch.setattr(cb, "witten_rank", lambda setup: real(setup) + 1)
+    # critical level 5 and theta level 9/2, so level 6 is above both; there
+    # the quantum route multiplies the classes themselves (s = 0)
+    code, out, err = invoke("rank", "--r", "2", "--level", "6",
+                            "--weights", "2w1+w2,w2,2w1,2w2,3w2", "--method", "witten")
+    assert code == 3
+    assert out == ""
+    assert "above a vanishing bound (critical level): classical 7 != witten 8" in err
+    # at the critical level and below theta the two ranks may differ
+    code, out, _ = invoke("rank", "--r", "2", "--level", "1",
+                          "--weights", "w1,w1,w1,w1,w1,w1", "--method", "witten")
+    assert code == 0
+    assert "rank_witten     2" in out
+
+
 def test_forced_partner_at_critical_checks_the_identity(monkeypatch):
     from cblocks import cb
 

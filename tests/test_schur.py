@@ -4,11 +4,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cblocks.cb import level_weights
+from cblocks import cb, schur
+from cblocks.cb import cb_rank, critical_level, level_weights
 from cblocks.errors import CapacityError, DomainError
-from cblocks.schur import _coinvariant_rank, _lr_mult, coinvariant_rank, invariant_oracle
+from cblocks.schur import (
+    _coinvariant_rank, _lr_mult, _lr_slot, _lr_walk, coinvariant_rank, invariant_oracle)
 from cblocks.young import (
-    SlWeight, conjugate, dual_star, partition, row, transpose, weight_from_fundamental)
+    BlockSetup, SlWeight, conjugate, dual_star, parse_weight_list, partition, row, transpose,
+    weight_from_fundamental)
 from strategies import boxed_partitions, weight_tuples
 
 
@@ -31,7 +34,7 @@ def lr_coefficient(lam, mu, nu):
         return 0
     if any(row(lam, a) > row(nu, a) for a in range(1, len(lam) + 1)):
         return 0
-    return _lr_mult(lam, mu, max(len(nu), 1), nu).get(nu, 0)
+    return _lr_walk(lam, mu, max(len(nu), 1), nu).get(nu, 0)
 
 
 def _add_strips(caps, amount, prev, slack, out):
@@ -115,7 +118,7 @@ def _reference_lr_mult(p, q, row_bound, outer=None):
        st.integers(min_value=1, max_value=5),
        st.none() | boxed_partitions(max_rows=5, max_width=8))
 def test_lr_mult_matches_reference(p, q, row_bound, outer):
-    assert _lr_mult.__wrapped__(p, q, row_bound, outer) == _reference_lr_mult(
+    assert _lr_walk(p, q, row_bound, outer) == _reference_lr_mult(
         p, q, row_bound, outer)
 
 
@@ -161,7 +164,7 @@ def _contained(u, outer):
        st.integers(min_value=1, max_value=5), boxed_partitions(max_rows=5, max_width=8))
 def test_lr_outer_bound_is_a_filter(p, q, row_bound, outer):
     full = _lr_mult(p, q, row_bound)
-    assert _lr_mult(p, q, row_bound, outer) == {
+    assert _lr_walk(p, q, row_bound, outer) == {
         u: m for u, m in full.items() if _contained(u, outer)}
 
 
@@ -171,8 +174,8 @@ def test_lr_outer_bound_is_a_filter(p, q, row_bound, outer):
        st.none() | boxed_partitions(max_rows=5, max_width=8))
 def test_lr_mult_is_commutative(p, q, row_bound, outer):
     # the kernel orients its factors itself; the reference walk takes them as given
-    product = _lr_mult.__wrapped__(p, q, row_bound, outer)
-    assert product == _lr_mult.__wrapped__(q, p, row_bound, outer)
+    product = _lr_walk(p, q, row_bound, outer)
+    assert product == _lr_walk(q, p, row_bound, outer)
     assert product == _reference_lr_mult(q, p, row_bound, outer)
 
 
@@ -191,22 +194,113 @@ def test_full_columns_factor_out_of_a_product(u, q, rows, c, slack):
     full = _with_full_columns(u, c, rows)
     width = c + slack
     shifted = {_with_full_columns(v, c, rows): m
-               for v, m in _lr_mult.__wrapped__(u, q, rows, (width - c,) * rows).items()}
-    assert _lr_mult.__wrapped__(full, q, rows, (width,) * rows) == shifted
-    assert _lr_mult.__wrapped__(full, q, rows) == {
-        _with_full_columns(v, c, rows): m for v, m in _lr_mult.__wrapped__(u, q, rows).items()}
+               for v, m in _lr_walk(u, q, rows, (width - c,) * rows).items()}
+    assert _lr_walk(full, q, rows, (width,) * rows) == shifted
+    assert _lr_walk(full, q, rows) == {
+        _with_full_columns(v, c, rows): m for v, m in _lr_walk(u, q, rows).items()}
 
 
 def test_lr_box_that_cannot_bind_changes_nothing():
-    # coinvariant_rank passes its box only when p[0] + q[0] > width; below
-    # that every constituent fits the box, so the unbounded product is the same
+    # _lr_mult reads a width of p[0] + q[0] or more as no bound: every
+    # constituent fits such a box, so the unbounded product is the same
     shapes = [(), (1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1), (4,), (3, 1), (2, 2), (2, 1, 1)]
     for p, q in product(shapes, repeat=2):
         p0, q0 = (p[0] if p else 0), (q[0] if q else 0)
         for rows in (1, 2, 3):
             for width in range(p0 + q0, p0 + q0 + 3):
-                assert _lr_mult.__wrapped__(p, q, rows, (width,) * rows) == \
-                    _lr_mult.__wrapped__(p, q, rows), (p, q, rows, width)
+                assert _lr_walk(p, q, rows, (width,) * rows) == \
+                    _lr_walk(p, q, rows), (p, q, rows, width)
+
+
+def _first_row_at_most(product, width):
+    return {u: m for u, m in product.items() if (u[0] if u else 0) <= width}
+
+
+@settings(deadline=None)
+@given(boxed_partitions(max_rows=4, max_width=5), boxed_partitions(max_rows=4, max_width=5),
+       st.integers(min_value=1, max_value=4),
+       st.lists(st.none() | st.integers(min_value=0, max_value=11), min_size=1, max_size=6))
+def test_lr_slot_answers_every_width_and_never_narrows(p, q, rows, widths):
+    # each answer, cut to the width asked, is the product boxed at that width;
+    # the slot keeps the widest walk, so a later narrower ask reads it
+    _lr_slot.cache_clear()
+    held = -1
+    for width in widths:
+        answer = _lr_mult(p, q, rows, width)
+        if width is None:
+            assert answer == _reference_lr_mult(p, q, rows)
+        else:
+            assert _first_row_at_most(answer, width) == _reference_lr_mult(
+                p, q, rows, (width,) * rows)
+        slot = _lr_slot(p, q, rows)
+        assert slot[1] is answer
+        assert slot[0] >= held
+        held = slot[0]
+
+
+def _count_walks(monkeypatch):
+    """Record every LR walk's arguments from now on."""
+    walks = []
+    real = schur._lr_walk
+
+    def counted(*args):
+        walks.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(schur, "_lr_walk", counted)
+    return walks
+
+
+def _cold_ranks():
+    for cached in (_lr_slot, _coinvariant_rank, cb._cb_rank, cb._fusion_expand_cached):
+        cached.cache_clear()
+
+
+@pytest.mark.parametrize("r, level, texts", [
+    (2, 40, ("20w1",) * 6),
+    (2, 11, ("[1,1]", "[5,1]", "[4,2]", "[4,1]", "[5,3]", "[5,1]")),
+    (2, 12, ("[4,2]", "[4,2]", "[5,2]", "[4]", "[3,2]", "[4,4]")),
+    (2, 8, ("[3]", "[3,1]", "[3,1]", "[3]", "[5,1]", "[4]")),
+    (3, 7, ("[2,1]", "[2,2]", "[2,2]", "[3,2,1]", "[3,3]", "[3,2]")),
+    (3, 6, ("[2]", "[1,1,1]", "[2,1]", "[3,2,1]", "[3,1]", "[3,2,1]")),
+    (3, 8, ("[3,1]", "[3,1]", "[3,3]", "[3,1,1]", "[3,2,2]", "[3,2,1]")),
+])
+def test_classical_route_reads_the_fusion_routes_products(monkeypatch, r, level, texts):
+    # one level above critical the classical route finds every LR product it
+    # needs in the slots the fusion route filled, at the widest bound
+    setup = BlockSetup(r, level, parse_weight_list(",".join(texts), r))
+    assert critical_level(r, setup.weights) == level - 1
+    _cold_ranks()
+    rank = cb_rank(setup)
+    walks = _count_walks(monkeypatch)
+    assert coinvariant_rank(r, setup.weights) == rank
+    assert walks == []
+
+
+def test_standalone_classical_route_walks_inside_its_box(monkeypatch):
+    # with no fusion route before it, every product whose box binds is walked
+    # boxed: reading unbounded products and filtering them is far slower on
+    # long first rows
+    r = 2
+    ws = tuple(SlWeight(r, p) for p in ((20, 10),) * 3 + ((10,),) * 3)
+    width = sum(w.size for w in ws) // (r + 1)
+    expected = _coinvariant_rank.__wrapped__(r, width, tuple(sorted(w.parts for w in ws)))
+    _cold_ranks()
+    walks = _count_walks(monkeypatch)
+    binding = []       # the walks made for asks whose box binds
+    real = schur._lr_mult
+
+    def recorded(p, q, rows, width=None):
+        before = len(walks)
+        answer = real(p, q, rows, width)
+        if width is None or sum(x[0] for x in (p, q) if x) > width:
+            binding.extend(walks[before:])
+        return answer
+
+    monkeypatch.setattr(schur, "_lr_mult", recorded)
+    assert coinvariant_rank(r, ws) == expected
+    assert binding
+    assert all(outer is not None for *_, outer in binding)
 
 
 def test_schur_product_examples():
@@ -278,7 +372,7 @@ def _strips_full_columns(r, parts):
     for half in (parts[:h], parts[h:][::-1]):
         running = {half[0]} if half else set()
         for q in half[1:-1]:
-            running = {u for p in running for u in _lr_mult.__wrapped__(p, q, r + 1)}
+            running = {u for p in running for u in _lr_walk(p, q, r + 1)}
             if any(len(u) == r + 1 for u in running):
                 return True
     return False
