@@ -22,7 +22,8 @@ Two independent rank algorithms are kept deliberately separate:
   size mod r+1: normalising removes full columns of r+1 cells, and a
   reflection keeps the sum of the gl tuple.  Since |mu*| = -|mu| mod r+1,
   a left mu meets a right mu* only when r+1 divides the whole total, so
-  cb_rank returns 0 without contracting when it does not.  Otherwise it
+  cb_rank returns 0 without contracting when it does not, which is when
+  the setup's critical level is None.  Otherwise it
   reads a bounded memo (_cb_rank) keyed on (r, level, sorted diagrams): the
   rank is symmetric in the points, so every ordering of a multiset shares
   one entry, and the memo contracts in that sorted order.  Its classical
@@ -39,6 +40,10 @@ Two independent rank algorithms are kept deliberately separate:
 They share no reduction code, so their agreement is evidence rather than
 tautology.  On three points the split is one fusion coefficient read off by
 alcove reflections against one Gromov-Witten number.
+
+The critical level and first-row sum come from BlockSetup's own pass over
+the weights.  VanishingReport.check_rank is the one check that a bundle
+rank equals the classical rank above either bound.
 """
 
 from __future__ import annotations
@@ -154,11 +159,9 @@ def cb_rank(setup: BlockSetup):
     When r+1 does not divide the total size no left mu meets a right mu*
     (module docstring), so the rank is 0 without contracting.
     """
-    r = setup.r
-    parts = [w.parts for w in setup.weights]
-    if sum(map(sum, parts)) % (r + 1):
+    if setup.critical_level is None:
         return 0
-    return _cb_rank(r, setup.level, tuple(sorted(parts)))
+    return _cb_rank(setup.r, setup.level, tuple(sorted([w.parts for w in setup.weights])))
 
 
 @lru_cache(maxsize=1 << 14)
@@ -185,7 +188,7 @@ def witten_rank(setup: BlockSetup):
     """
     from .qgrass import GrassmannBox, gw_invariant
 
-    c = critical_level(setup.r, setup.weights)
+    c = setup.critical_level
     if c is None:
         return 0
     s = c + 1 - setup.level
@@ -196,47 +199,39 @@ def witten_rank(setup: BlockSetup):
     return gw_invariant(box, classes, s)
 
 
-def critical_level(r: int, weights: Sequence[SlWeight]) -> int | None:
-    """-1 + (total size)/(r+1) when that is an integer, else None."""
-    total = sum(sum(w.parts) for w in weights)
-    if total % (r + 1):
-        return None
-    return total // (r + 1) - 1
-
-
 class VanishingReport:
     """Levels, strict-threshold flags and both ranks of one setup.
 
-    Building one from a setup makes the one pass over its weights that gives
-    both levels and both flags; vanishing_report then sets the three rank
-    fields, which are unset until it does.  The theta level is built from the
-    stored first-row sum when it is read, so a report whose theta level is
-    never read builds no Fraction.
+    Building one from a setup reads both levels from the setup's tally and
+    sets both flags; vanishing_report then sets the three rank fields, which
+    are unset until it does.  The theta level is built from the stored
+    first-row sum when it is read, so a report whose theta level is never
+    read builds no Fraction.
     """
 
     __slots__ = ("critical_level", "first_rows", "above_critical", "above_theta",
                  "rank_classical", "rank_cb", "ranks_equal")
 
     def __init__(self, setup: BlockSetup):
-        r, level = setup.r, setup.level
-        # the total size gives the critical level, the first-row sum the theta level
-        total = first_rows = 0
-        for w in setup.weights:
-            p = w.parts
-            if p:
-                total += sum(p)
-                first_rows += p[0]
-        c = None if total % (r + 1) else total // (r + 1) - 1
-        self.critical_level = c
-        self.first_rows = first_rows
-        self.above_critical = c is not None and level > c
+        c = self.critical_level = setup.critical_level
+        first_rows = self.first_rows = setup.first_rows
+        self.above_critical = c is not None and setup.level > c
         # level > theta_level = (first_rows - 2) / 2
-        self.above_theta = 2 * level > first_rows - 2
+        self.above_theta = 2 * setup.level > first_rows - 2
 
     @property
     def theta_level(self) -> Fraction:
         """-1 + half the sum of the weights' first rows (highest-root pairings)."""
         return Fraction(self.first_rows - 2, 2)
+
+    def check_rank(self, classical: int, rank: int, route: str) -> None:
+        """Raise ConsistencyError when the `route` rank differs from the
+        classical rank above either bound, where the two must agree."""
+        if (self.above_critical or self.above_theta) and classical != rank:
+            bound = "critical" if self.above_critical else "theta"
+            raise ConsistencyError(
+                f"ranks differ above a vanishing bound ({bound} level): "
+                f"classical {classical} != {route} {rank}")
 
 
 def vanishing_report(setup: BlockSetup) -> VanishingReport:
@@ -255,11 +250,7 @@ def vanishing_report(setup: BlockSetup) -> VanishingReport:
     else:
         rank_v = cb_rank(setup)
         rank_a = coinvariant_rank(setup.r, setup.weights)
-    if (rep.above_critical or rep.above_theta) and rank_a != rank_v:
-        bound = "critical" if rep.above_critical else "theta"
-        raise ConsistencyError(
-            f"ranks differ above a vanishing bound ({bound} level): "
-            f"classical {rank_a} != conformal blocks {rank_v}")
+    rep.check_rank(rank_a, rank_v, "conformal blocks")
     rep.rank_classical = rank_a
     rep.rank_cb = rank_v
     rep.ranks_equal = rank_a == rank_v
@@ -283,7 +274,7 @@ def partner(setup: BlockSetup, force: bool = False) -> PartnerData:
     points the degree on the four-point line must equal the partner's; a
     failure raises ConsistencyError.
     """
-    c = critical_level(setup.r, setup.weights)
+    c = setup.critical_level
     at_critical = (c == setup.level)
     if not force and not at_critical:
         shown = c if c is not None else "undefined (r+1 does not divide the total size)"

@@ -66,14 +66,8 @@ def _cmd_rank(ns):
     if rep is None:
         classical = coinvariant_rank(setup.r, setup.weights)
         if witten is not None:
-            # the check vanishing_report makes on the fusion route's rank, from
-            # the same level pass (a report whose ranks are left unset)
-            levels = VanishingReport(setup)
-            if (levels.above_critical or levels.above_theta) and classical != witten:
-                bound = "critical" if levels.above_critical else "theta"
-                raise ConsistencyError(
-                    f"ranks differ above a vanishing bound ({bound} level): "
-                    f"classical {classical} != witten {witten}")
+            # the check vanishing_report makes on the fusion route's rank
+            VanishingReport(setup).check_rank(classical, witten, "witten")
     else:
         classical = rep.rank_classical
     results["rank_classical"] = str(classical)

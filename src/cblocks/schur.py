@@ -31,9 +31,7 @@ asks for more than the slot holds, so its answer may hold constituents
 wider than the width asked, and callers that pass a width drop them.  On
 one `ladder` list of the benchmark (seed 3), cb_rank then coinvariant_rank
 fill 1,182 slots and walk each once, all unbounded; coinvariant_rank alone
-fills 1,166 slots with 1,483 walks, 846 of them boxed.  Before the slots, a
-boxed product had its own cache entry, and the same list walked 2,648
-products.
+fills 1,166 slots with 1,483 walks, 846 of them boxed.
 
 The coinvariant rank of a weight tuple is the coefficient of the forced
 (r+1) x width box in the product of its Schur functions.  Each half of the
@@ -182,8 +180,7 @@ def _lr_mult(p: Partition, q: Partition, row_bound: int,
     slots bound the memo.  One `ladder` operation list of the benchmark
     fills about 1,200 and walks each once, unbounded, since each setup runs
     cb_rank before coinvariant_rank; one `sweep` list fills about 1,000
-    with about 1,350 walks.  With a cache entry per boxed product these
-    lists walked about 2,700 and 2,200 products.
+    with about 1,350 walks.
     """
     slot = _lr_slot(p, q, row_bound)
     full = (p[0] if p else 0) + (q[0] if q else 0)

@@ -5,7 +5,9 @@ form drops trailing zeros).  A dominant integral weight of sl_{r+1} is stored
 as its normalized Young diagram, i.e. the representative whose (r+1)-th row is
 empty.  All derived notions (theta pairing, duals, transposes) are defined
 on that canonical data.  BlockSetup is the one check of an (r, level,
-weights) triple; every function that works on a bundle takes one.
+weights) triple; every function that works on a bundle takes one.  The
+pass that checks its weights also tallies the two numbers the vanishing
+bounds are made of: the critical level and the first-row sum.
 """
 
 from __future__ import annotations
@@ -146,24 +148,34 @@ def dual_star(w: SlWeight) -> SlWeight:
 class BlockSetup:
     """One bundle: algebra sl_{r+1}, level, and a tuple of alcove weights.
 
+    The one pass over the weights that checks them also sets critical_level,
+    -1 + (total size)/(r+1) when r+1 divides the total size and None
+    otherwise, and first_rows, the sum of the first rows (highest-root
+    pairings), from which the theta level -1 + first_rows/2 is built.
     Setups compare and hash by (r, level, weights).
     """
 
-    __slots__ = ("r", "level", "weights")
+    __slots__ = ("r", "level", "weights", "critical_level", "first_rows")
 
     def __init__(self, r: int, level: int, weights: Sequence[SlWeight]):
         if level < 1:
             raise DomainError(f"level must be positive, got {level}")
         ws = tuple(weights)
+        total = first_rows = 0
         for w in ws:
             if not isinstance(w, SlWeight) or w.rank != r:
                 raise DomainError(f"{w} is not an sl_{r + 1} weight")
-            if not fits_level(w, level):
-                raise DomainError(
-                    f"weight {w} has first row {theta_pairing(w)} > level {level}")
+            p = w.parts
+            if p:
+                if p[0] > level:
+                    raise DomainError(f"weight {w} has first row {p[0]} > level {level}")
+                total += sum(p)
+                first_rows += p[0]
         self.r = r
         self.level = level
         self.weights = ws
+        self.critical_level = None if total % (r + 1) else total // (r + 1) - 1
+        self.first_rows = first_rows
 
     def __eq__(self, other):
         if other.__class__ is not BlockSetup:
@@ -227,6 +239,7 @@ def parse_partition(text: str) -> Partition:
 
 def parse_weight_list(text: str, r: int) -> tuple:
     """Parse a comma-separated weight list, respecting brackets in partition literals."""
+    SlWeight(r, ())    # a bad r raises DomainError however the weights are spelled
     items = []
     depth = 0
     cur = []

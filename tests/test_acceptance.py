@@ -16,7 +16,6 @@ from functools import lru_cache
 from cblocks.cb import (
     BlockSetup,
     cb_rank,
-    critical_level,
     degree_m04,
     factorization_rank,
     level_weights,
@@ -30,6 +29,7 @@ from cblocks.nefgeo import FCurve, contracts, hassett_contracts, hassett_weights
 from cblocks.qgrass import GrassmannBox, QClass, gw_invariant, quantum_product
 from cblocks.schur import _lr_mult, coinvariant_rank, invariant_oracle
 from cblocks.young import SlWeight, conjugate, dual_star, parse_weight_list, transpose
+from reference import critical_level
 
 # (r, level, diagrams, rank_classical, rank_cb, rank_transpose)
 ROWS = (

@@ -116,6 +116,15 @@ def test_command_loads_only_its_modules(command):
      "level must be positive, got 0\n"),
     (("hassett", "--r", "2", "--level", "0", "--weights", "0,0,0,0", "--mode", "typeA"),
      "level must be positive, got 0\n"),
+    # a bad r is refused before any weight is read, however the weights are spelled
+    (("rank", "--r", "0", "--level", "1", "--weights", "0"),
+     "algebra rank must be positive, got 0\n"),
+    (("rank", "--r", "0", "--level", "1", "--weights", "[1]"),
+     "algebra rank must be positive, got 0\n"),
+    (("rank", "--r", "0", "--level", "1", "--weights", "w1"),
+     "algebra rank must be positive, got 0\n"),
+    (("fcurve", "--r", "0", "--level", "1", "--weights", "w1,w1,w1,w1", "--curve", "1|2|3|4"),
+     "algebra rank must be positive, got 0\n"),
 ))
 def test_precondition_messages_carry_reprs(argv, message):
     assert invoke(*argv) == (2, "", message)
@@ -337,6 +346,12 @@ def test_rank_witten_disagreement_with_classical_above_critical_exits_3(monkeypa
     assert code == 3
     assert out == ""
     assert "above a vanishing bound (critical level): classical 7 != witten 8" in err
+    # critical level 2 and theta level 3/2, so level 2 is above theta only
+    code, out, err = invoke("rank", "--r", "2", "--level", "2",
+                            "--weights", "w1,w2,w2,2w2", "--method", "witten")
+    assert code == 3
+    assert out == ""
+    assert "above a vanishing bound (theta level): classical 1 != witten 2" in err
     # at the critical level and below theta the two ranks may differ
     code, out, _ = invoke("rank", "--r", "2", "--level", "1",
                           "--weights", "w1,w1,w1,w1,w1,w1", "--method", "witten")
@@ -456,6 +471,12 @@ def test_rank_disagreement_with_classical_above_critical_exits_3(monkeypatch, me
     assert code == 3
     assert out == ""
     assert "classical 7 != conformal blocks 6" in err
+    # critical level 2 and theta level 3/2, so level 2 is above theta only
+    code, out, err = invoke("rank", "--r", "2", "--level", "2",
+                            "--weights", "w1,w2,w2,2w2", "--method", method)
+    assert code == 3
+    assert out == ""
+    assert "above a vanishing bound (theta level): classical 1 != conformal blocks 0" in err
 
 
 def test_partner_degree_disagreement_at_critical_exits_3(monkeypatch):

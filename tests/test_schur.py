@@ -5,13 +5,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cblocks import cb, schur
-from cblocks.cb import cb_rank, critical_level, level_weights
+from cblocks.cb import cb_rank, level_weights
 from cblocks.errors import CapacityError, DomainError
 from cblocks.schur import (
     _coinvariant_rank, _lr_mult, _lr_slot, _lr_walk, coinvariant_rank, invariant_oracle)
 from cblocks.young import (
     BlockSetup, SlWeight, conjugate, dual_star, parse_weight_list, partition, row, transpose,
     weight_from_fundamental)
+from reference import critical_level
 from strategies import boxed_partitions, weight_tuples
 
 

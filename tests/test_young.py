@@ -3,6 +3,7 @@ from hypothesis import given
 
 from cblocks.errors import DomainError, ParseError
 from cblocks.young import (
+    BlockSetup,
     SlWeight,
     conjugate,
     dual_star,
@@ -15,7 +16,8 @@ from cblocks.young import (
     weight_from_fundamental,
     weight_text,
 )
-from strategies import boxed_partitions, leveled_weights, sl_weights
+from reference import critical_level
+from strategies import boxed_partitions, leveled_weights, sl_weights, weight_tuples
 
 
 def test_partition_canonical_form():
@@ -125,3 +127,11 @@ def test_slweight_normalizes_at_construction():
     assert SlWeight(2, (4, 2, 1)).parts == (3, 1)
     with pytest.raises(DomainError):
         SlWeight(2, (1, 1, 1, 1))
+
+
+@given(weight_tuples())
+def test_setup_tallies_its_weights(rlw):
+    r, level, ws = rlw
+    setup = BlockSetup(r, level, ws)
+    assert setup.critical_level == critical_level(r, ws)
+    assert setup.first_rows == sum(w.parts[0] for w in ws if w.parts)
