@@ -11,17 +11,17 @@ The kernel _lr_walk works on plain row tuples padded to the row bound.  It
 adds one letter per row of its second factor, so it first orients the pair
 (c^nu_{p,q} = c^nu_{q,p}): the factor with fewer rows, then fewer cells,
 goes second, and an empty second factor returns at once.  For each (shape,
-previous strip) state it computes every row's cap once (the old row above
-it, and the optional `outer` shape), then enumerates the letter's strips row
-by row, growing the shape in place and adding each finished (shape, strip)
-straight into the next state table.  The last letter's states are keyed by
-shape alone, since no later letter reads their strip counts.  A branch is
-cut as soon as the cells still to place exceed what the remaining rows can
-hold.  Every constituent leaves the kernel canonical (trailing zeros
-dropped), so callers use it without validating it again.  Passing `outer`
-keeps only constituents inside it, and clips every intermediate shape too:
-this is the skew bound of lrcalc-style enumerators, and exact because a
-product never shrinks a shape.
+previous strip) state it computes every row's cap once (the width for the
+first row, the old row above it for the others), then enumerates the
+letter's strips row by row, growing the shape in place and adding each
+finished (shape, strip) straight into the next state table.  The last
+letter's states are keyed by shape alone, since no later letter reads their
+strip counts.  A branch is cut as soon as the cells still to place exceed
+what the remaining rows can hold.  Every constituent leaves the kernel
+canonical (trailing zeros dropped), so callers use it without validating it
+again.  Passing `width` keeps only the constituents whose first row is at
+most `width`, and clips every intermediate shape to it too, which is exact
+because a product never shrinks a shape.
 
 The memo _lr_mult(p, q, row_bound, width) sits in front of the kernel.  It
 keeps one slot per (p, q, row_bound), holding the product walked at the
@@ -73,31 +73,24 @@ from .young import Partition, SlWeight, partition, row
 
 
 def _lr_walk(p: Partition, q: Partition, row_bound: int,
-             outer: Partition | None = None) -> dict[Partition, int]:
+             width: int | None = None) -> dict[Partition, int]:
     """Expansion of s_p * s_q in Schur functions of `row_bound` variables.
 
-    With `outer`, only the constituents contained in that shape are kept;
-    every intermediate shape is clipped to it as well.  The product is
-    symmetric, so the factor with fewer rows, then fewer cells, goes second:
-    the walk adds one letter per row of the second factor.  Nothing is
-    cached here; _lr_mult is the memo.
+    With `width`, only the constituents whose first row is at most `width`
+    are kept, and every intermediate shape is clipped to it as well.  The
+    product is symmetric, so the factor with fewer rows, then fewer cells,
+    goes second: the walk adds one letter per row of the second factor.
+    Nothing is cached here; _lr_mult is the memo.
     """
     size_p, size_q = sum(p), sum(q)
     if (len(q), size_q) > (len(p), size_p):
         p, q, size_p, size_q = q, p, size_q, size_p
-    if len(p) > row_bound:
-        return {}
     rows = row_bound
     total = size_p + size_q
-    if outer is not None:
-        rows = min(rows, len(outer))
-        if (len(p) > rows or any(a > b for a, b in zip(p, outer))
-                or any(a > b for a, b in zip(q, outer))):
-            return {}
-        bound = outer[:rows]
-    else:
-        bound = (total,) * rows
-    if sum(bound) < total:
+    if width is None:
+        width = total
+    if (len(p) > rows or width * rows < total
+            or (p and p[0] > width) or (q and q[0] > width)):
         return {}
     if not q:
         return {p: 1}
@@ -140,9 +133,9 @@ def _lr_walk(p: Partition, q: Partition, row_bound: int,
         for (shape, prev), mult in states.items():
             if slack + sum(prev[:-1]) < m:    # the ballot limit leaves too little room
                 continue
-            # row j may grow to the lower of the old row above it and bound[j];
+            # row 0 may grow to the width and row j to the old row above it;
             # suffix[j] is what rows j.. can hold, to cut a branch that cannot finish
-            caps = [(a if a < b else b) - s for a, b, s in zip(bound[:1] + shape, bound, shape)]
+            caps = [a - s for a, s in zip((width,) + shape, shape)]
             suffix = list(accumulate(reversed(caps), initial=0))[::-1]
             if suffix[0] >= m:
                 grown[:] = shape
@@ -187,7 +180,7 @@ def _lr_mult(p: Partition, q: Partition, row_bound: int,
     if width is None or width > full:
         width = full
     if slot[0] < width:
-        slot[1] = _lr_walk(p, q, row_bound, None if width == full else (width,) * row_bound)
+        slot[1] = _lr_walk(p, q, row_bound, width)
         slot[0] = width
     return slot[1]
 
@@ -309,13 +302,16 @@ def _gl_character(p: Partition, n: int) -> tuple:
     return tuple(sorted(out.items()))
 
 
-def invariant_oracle(r: int, weights: Sequence[SlWeight], capacity: int = 10**7):
+_ORACLE_CAPACITY = 10**7
+
+
+def invariant_oracle(r: int, weights: Sequence[SlWeight]):
     """Coinvariant rank by brute force, for cross-checking coinvariant_rank.
 
     Convolves the weight multiplicities of all factors, then extracts the
     multiplicity of the determinant-power highest weight by a signed sum over
     the symmetric group.  Refuses inputs whose dimension product exceeds
-    `capacity`.
+    _ORACLE_CAPACITY.
     """
     weights = tuple(weights)
     for w in weights:
@@ -330,9 +326,9 @@ def invariant_oracle(r: int, weights: Sequence[SlWeight], capacity: int = 10**7)
     dims = 1
     for w in weights:
         dims *= _gl_dimension(w.parts, n)
-        if dims > capacity:
+        if dims > _ORACLE_CAPACITY:
             raise CapacityError(
-                f"dimension product exceeds capacity bound {capacity}")
+                f"dimension product exceeds capacity bound {_ORACLE_CAPACITY}")
     conv = {(0,) * n: 1}
     for w in weights:
         nxt = {}

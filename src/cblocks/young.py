@@ -8,6 +8,11 @@ on that canonical data.  BlockSetup is the one check of an (r, level,
 weights) triple; every function that works on a bundle takes one.  The
 pass that checks its weights also tallies the two numbers the vanishing
 bounds are made of: the critical level and the first-row sum.
+
+Weights parse and print in the size of their diagram, not of r: a term
+m w_j of `2w1+w3` adds m cells to each of rows 1..j, so the diagram grows
+only as far as the largest j written, and weight_text reads the
+coefficient a_j back as row j minus row j+1.
 """
 
 from __future__ import annotations
@@ -19,6 +24,9 @@ from .errors import DomainError, ParseError
 
 Partition = tuple
 
+# SlWeight and BlockSetup refuse a rank below 1 with this one message
+_RANK_ERROR = "algebra rank must be positive, got {}"
+
 
 def partition(parts: Iterable[int]) -> Partition:
     """Canonical partition: weakly decreasing tuple with trailing zeros dropped."""
@@ -28,9 +36,8 @@ def partition(parts: Iterable[int]) -> Partition:
             raise DomainError(f"parts not weakly decreasing: {ps}")
     if ps and ps[-1] < 0:
         raise DomainError(f"negative part in {ps}")
-    while ps and ps[-1] == 0:
-        ps = ps[:-1]
-    return ps
+    # weakly decreasing and non-negative, so every zero is a trailing one
+    return ps[:len(ps) - ps.count(0)]
 
 
 def row(p: Partition, a: int) -> int:
@@ -61,7 +68,7 @@ class SlWeight:
 
     def __init__(self, rank: int, parts: Iterable[int]):
         if rank < 1:
-            raise DomainError(f"algebra rank must be positive, got {rank}")
+            raise DomainError(_RANK_ERROR.format(rank))
         ps = partition(parts)
         if len(ps) > rank + 1:
             raise DomainError(
@@ -89,27 +96,6 @@ class SlWeight:
 
     def __repr__(self):
         return f"SlWeight(sl{self.rank + 1}, {list(self.parts)})"
-
-
-def weight_from_fundamental(coeffs: Sequence[int], r: int) -> SlWeight:
-    """Weight sum(a_j w_j) as a diagram: row i has a_i + a_{i+1} + ... + a_r boxes."""
-    cs = tuple(int(c) for c in coeffs)
-    if len(cs) != r:
-        raise DomainError(f"need exactly {r} fundamental coefficients, got {len(cs)}")
-    if any(c < 0 for c in cs):
-        raise DomainError(f"negative fundamental coefficient in {cs}")
-    tail = 0
-    rows = []
-    for c in reversed(cs):
-        tail += c
-        rows.append(tail)
-    rows.reverse()
-    return SlWeight(r, rows)
-
-
-def fundamental_coeffs(w: SlWeight) -> tuple:
-    """Inverse of weight_from_fundamental: a_j = row j minus row j+1."""
-    return tuple(w.row(j) - w.row(j + 1) for j in range(1, w.rank + 1))
 
 
 def theta_pairing(w: SlWeight) -> int:
@@ -158,6 +144,8 @@ class BlockSetup:
     __slots__ = ("r", "level", "weights", "critical_level", "first_rows")
 
     def __init__(self, r: int, level: int, weights: Sequence[SlWeight]):
+        if r < 1:
+            raise DomainError(_RANK_ERROR.format(r))
         if level < 1:
             raise DomainError(f"level must be positive, got {level}")
         ws = tuple(weights)
@@ -208,7 +196,7 @@ def parse_weight(text: str, r: int) -> SlWeight:
             return SlWeight(r, parse_partition(text))
         except DomainError as e:
             raise ParseError(str(e)) from None
-    coeffs = [0] * r
+    coeffs = {}
     for term in s.split("+"):
         m = _FUND_TERM.match(term)
         if not m:
@@ -217,8 +205,13 @@ def parse_weight(text: str, r: int) -> SlWeight:
         j = int(m.group(2))
         if not 1 <= j <= r:
             raise ParseError(f"fundamental index {j} out of range 1..{r} in {text!r}")
-        coeffs[j - 1] += mult
-    return weight_from_fundamental(coeffs, r)
+        coeffs[j] = coeffs.get(j, 0) + mult
+    # row i has a_i + ... + a_top cells, top being the largest index written
+    rows, tail = [], 0
+    for j in range(max(coeffs), 0, -1):
+        tail += coeffs.get(j, 0)
+        rows.append(tail)
+    return SlWeight(r, rows[::-1])
 
 
 def parse_partition(text: str) -> Partition:
@@ -261,8 +254,10 @@ def parse_weight_list(text: str, r: int) -> tuple:
 
 def weight_text(w: SlWeight) -> str:
     """Render in fundamental form, `0` for the zero weight."""
+    p = w.parts
     terms = []
-    for j, c in enumerate(fundamental_coeffs(w), start=1):
+    for j, (a, b) in enumerate(zip(p, p[1:] + (0,)), start=1):
+        c = a - b    # the coefficient of w_j; rows past the diagram's last add none
         if c == 1:
             terms.append(f"w{j}")
         elif c > 1:

@@ -24,15 +24,11 @@ from cblocks.errors import DomainError
 from cblocks.nefgeo import FCurve, HassettWeights, parse_fcurve
 from cblocks.qgrass import GrassmannBox, QClass
 from cblocks.schur import _coinvariant_rank, _lr_mult, coinvariant_rank
-from cblocks.young import (
-    SlWeight, dual_parts, dual_star, parse_weight_list, weight_from_fundamental)
+from cblocks.young import SlWeight, dual_parts, dual_star, parse_weight_list
 from reference import critical_level
+from reference import weight_from_fundamental as W
 from strategies import weight_tuples
 from test_schur import coinvariant_box_width
-
-
-def W(coeffs, r):
-    return weight_from_fundamental(coeffs, r)
 
 
 def theta_level(r, weights):

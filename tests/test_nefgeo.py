@@ -14,11 +14,8 @@ from cblocks.nefgeo import (
     hassett_weights,
     parse_fcurve,
 )
-from cblocks.young import BlockSetup, SlWeight, weight_from_fundamental
-
-
-def W(coeffs, r):
-    return weight_from_fundamental(coeffs, r)
+from cblocks.young import BlockSetup, SlWeight
+from reference import weight_from_fundamental as W
 
 
 def F(*blocks):

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from cblocks.errors import DomainError, ParseError
 from cblocks.young import (
@@ -13,10 +16,9 @@ from cblocks.young import (
     partition,
     theta_pairing,
     transpose,
-    weight_from_fundamental,
     weight_text,
 )
-from reference import critical_level
+from reference import critical_level, weight_from_fundamental
 from strategies import boxed_partitions, leveled_weights, sl_weights, weight_tuples
 
 
@@ -31,11 +33,55 @@ def test_partition_canonical_form():
 
 
 def test_weight_from_fundamental_examples():
-    assert weight_from_fundamental((1, 0), 2).parts == (1,)
-    assert weight_from_fundamental((0, 3), 2).parts == (3, 3)
-    assert weight_from_fundamental((2, 0, 1), 3).parts == (3, 1, 1)
-    with pytest.raises(DomainError):
-        weight_from_fundamental((1, -1), 2)
+    assert parse_weight("w1", 2).parts == (1,)
+    assert parse_weight("3w2", 2).parts == (3, 3)
+    assert parse_weight("2w1+w3", 3).parts == (3, 1, 1)
+    with pytest.raises(ParseError):
+        parse_weight("w1-w2", 2)
+
+
+@st.composite
+def fundamental_spellings(draw):
+    """(r, coefficients, a spelling of that weight in fundamental terms).
+
+    Each nonzero coefficient is split into one or more terms, and terms with
+    multiplicity 0 ride along, all in a random order.
+    """
+    r = draw(st.integers(min_value=1, max_value=6))
+    coeffs = draw(st.lists(st.integers(min_value=0, max_value=4), min_size=r, max_size=r))
+    terms = []
+    for j, a in enumerate(coeffs, start=1):
+        while a:
+            m = draw(st.integers(min_value=1, max_value=a))
+            terms.append(draw(st.sampled_from([f"{m}w{j}"] + ([f"w{j}"] if m == 1 else []))))
+            a -= m
+        if draw(st.booleans()):
+            terms.append(f"0w{j}")
+    terms = draw(st.permutations(terms))
+    return r, coeffs, "+".join(terms) if terms else "0"
+
+
+@given(fundamental_spellings())
+def test_parse_weight_builds_the_diagram_of_its_terms(spelled):
+    r, coeffs, text = spelled
+    w = parse_weight(text, r)
+    assert w == weight_from_fundamental(coeffs, r)
+    canonical = [f"{a}w{j}" if a > 1 else f"w{j}" for j, a in enumerate(coeffs, start=1) if a]
+    assert weight_text(w) == ("+".join(canonical) or "0")
+
+
+def test_parsing_and_printing_work_in_the_size_of_the_diagram():
+    # none of parse_weight, SlWeight, partition or weight_text allocates or
+    # walks r rows: at r = 10**6 the whole round trip stays below 1 MB
+    tracemalloc.start()
+    try:
+        w = parse_weight("w1", 10**6)
+        text = weight_text(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (w.parts, text) == ((1,), "w1")
+    assert peak < 1 << 20
 
 
 def test_transpose_examples():
@@ -127,6 +173,17 @@ def test_slweight_normalizes_at_construction():
     assert SlWeight(2, (4, 2, 1)).parts == (3, 1)
     with pytest.raises(DomainError):
         SlWeight(2, (1, 1, 1, 1))
+
+
+@pytest.mark.parametrize("r", (0, -1))
+def test_setup_refuses_a_rank_below_one(r):
+    # the rank is checked before the level, with SlWeight's message
+    message = f"^algebra rank must be positive, got {r}$"
+    for level in (1, 0):
+        with pytest.raises(DomainError, match=message):
+            BlockSetup(r, level, ())
+    with pytest.raises(DomainError, match=message):
+        SlWeight(r, ())
 
 
 @given(weight_tuples())
