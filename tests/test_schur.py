@@ -163,8 +163,12 @@ def _first_row_at_most(product, width):
 
 @given(boxed_partitions(max_rows=4, max_width=4), boxed_partitions(max_rows=4, max_width=4),
        st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=8))
-def test_lr_width_bound_is_a_filter(p, q, row_bound, width):
+def test_lr_outer_bound_is_a_filter(p, q, row_bound, width):
+    # the width bounds the product to the outer box of row_bound rows and width columns
     full = _lr_mult(p, q, row_bound)
+    box = _box(row_bound, width)
+    assert _lr_walk(p, q, row_bound, width) == {
+        u: m for u, m in full.items() if all(a <= b for a, b in zip(u, box))}
     assert _lr_walk(p, q, row_bound, width) == _first_row_at_most(full, width)
 
 
