@@ -13,11 +13,11 @@ Two independent rank algorithms are kept deliberately separate:
   nu_1 - nu_{r+1} <= level is already in the alcove (its rho-shifted tuple
   strictly decreases with spread < level + r + 1), so the fusion product
   only subtracts its last row and counts it with sign +1; the reflection
-  loop sees the rest.  The contraction vectors are keyed by
-  normalised parts tuples, the dual is taken on those tuples, and the
-  cached fusion products are {parts: coeff} dicts.  degree_m04 reads its
-  split terms from the same cached products and takes the conformal weight
-  of each constituent that enters a term straight from its parts.
+  loop sees the rest.  The contraction vectors are keyed by normalised
+  parts tuples, the dual is taken on those tuples, and the cached fusion
+  products (fusion_expand) are {parts: coeff} dicts.  degree_m04 reads
+  its split terms from the same cached products and takes the conformal
+  weight of each constituent that enters a term straight from its parts.
   Each half's vector comes from _fuse, and its keys keep the half's total
   size mod r+1: normalising removes full columns of r+1 cells, and a
   reflection keeps the sum of the gl tuple.  Since |mu*| = -|mu| mod r+1,
@@ -43,7 +43,9 @@ alcove reflections against one Gromov-Witten number.
 
 The critical level and first-row sum come from BlockSetup's own pass over
 the weights.  VanishingReport.check_rank is the one check that a bundle
-rank equals the classical rank above either bound.
+rank equals the classical rank above either bound.  Each route makes it on
+its own answer, vanishing_report on the fusion rank and witten_rank on the
+quantum rank, so no caller builds a report to check a rank.
 """
 
 from __future__ import annotations
@@ -113,7 +115,7 @@ def _alcove_reduce(diagram: Partition, r: int, level: int):
 
 
 @lru_cache(maxsize=1 << 16)
-def _fusion_expand_cached(r: int, level: int, p: Partition, q: Partition) -> dict[Partition, int]:
+def fusion_expand(r: int, level: int, p: Partition, q: Partition) -> dict[Partition, int]:
     """{parts: coeff} of the fusion product of two normalised diagrams, zeros absent.
 
     The dict is the cache entry itself, so callers only read it, as with
@@ -146,7 +148,7 @@ def _fuse(r: int, level: int, parts: Sequence[Partition]) -> dict[Partition, int
         nxt: dict[Partition, int] = {}
         for mu, c in vec.items():
             pair = (mu, q) if mu <= q else (q, mu)
-            for nu, m in _fusion_expand_cached(r, level, *pair).items():
+            for nu, m in fusion_expand(r, level, *pair).items():
                 nxt[nu] = nxt.get(nu, 0) + c * m
         vec = nxt
     return vec
@@ -185,6 +187,8 @@ def witten_rank(setup: BlockSetup):
     """Bundle rank as one quantum Schubert coefficient on Gr(r+1, r+1+level).
 
     sigma_level = sigma_(n-k) = T, so the s level classes are one rotation.
+    When s < 0 the classical rank is returned; above either bound otherwise,
+    the coefficient is checked against it (VanishingReport.check_rank).
     """
     from .qgrass import GrassmannBox, gw_invariant
 
@@ -196,7 +200,11 @@ def witten_rank(setup: BlockSetup):
         return coinvariant_rank(setup.r, setup.weights)
     box = GrassmannBox(setup.r + 1, setup.r + 1 + setup.level)
     classes = [w.parts for w in setup.weights] + [(setup.level,)] * s
-    return gw_invariant(box, classes, s)
+    rank = gw_invariant(box, classes, s)
+    rep = VanishingReport(setup)
+    if rep.above_critical or rep.above_theta:
+        rep.check_rank(coinvariant_rank(setup.r, setup.weights), rank, "witten")
+    return rank
 
 
 class VanishingReport:
@@ -204,9 +212,9 @@ class VanishingReport:
 
     Building one from a setup reads both levels from the setup's tally and
     sets both flags; vanishing_report then sets the three rank fields, which
-    are unset until it does.  The theta level is built from the stored
-    first-row sum when it is read, so a report whose theta level is never
-    read builds no Fraction.
+    are unset until it does; both rank routes call check_rank.  The theta
+    level is built from the stored first-row sum when it is read, so a
+    report whose theta level is never read builds no Fraction.
     """
 
     __slots__ = ("critical_level", "first_rows", "above_critical", "above_theta",
@@ -269,10 +277,11 @@ def partner(setup: BlockSetup, force: bool = False) -> PartnerData:
     """Transpose-side setup at swapped parameters, with the rank identity.
 
     The source must sit exactly at its critical level; `force` skips that
-    precondition.  Whenever the source is at its critical level, forced or
-    not, rank_source + rank_partner must equal rank_classical, and on four
-    points the degree on the four-point line must equal the partner's; a
-    failure raises ConsistencyError.
+    precondition.  The source and classical ranks come from one checked
+    vanishing_report.  Whenever the source is at its critical level, forced
+    or not, rank_source + rank_partner must equal rank_classical, and on
+    four points the degree on the four-point line must equal the partner's;
+    a failure raises ConsistencyError.
     """
     c = setup.critical_level
     at_critical = (c == setup.level)
@@ -281,9 +290,9 @@ def partner(setup: BlockSetup, force: bool = False) -> PartnerData:
         raise DomainError(f"level {setup.level} ≠ critical level {shown}")
     flipped = tuple(transpose(w, setup.level) for w in setup.weights)
     other = BlockSetup(setup.level, setup.r, flipped)
-    rank_source = cb_rank(setup)
+    rep = vanishing_report(setup)
+    rank_source, rank_classical = rep.rank_cb, rep.rank_classical
     rank_partner = cb_rank(other)
-    rank_classical = coinvariant_rank(setup.r, setup.weights)
     if at_critical and rank_source + rank_partner != rank_classical:
         raise ConsistencyError(
             f"rank identity failed: {rank_source} + {rank_partner} != {rank_classical}")
@@ -345,9 +354,9 @@ def degree_m04(setup: BlockSetup) -> DegreeBreakdown:
     bulk = rep.rank_cb * sum(_conformal_weight(r, level, p) for p in parts)
     pairings = []
     for (ia, ib), (ic, id_) in _SPLITS:
-        ab = _fusion_expand_cached(r, level, *sorted((parts[ia], parts[ib])))
+        ab = fusion_expand(r, level, *sorted((parts[ia], parts[ib])))
         term = Fraction(0)
-        for mu, n_cd in _fusion_expand_cached(r, level, *sorted((parts[ic], parts[id_]))).items():
+        for mu, n_cd in fusion_expand(r, level, *sorted((parts[ic], parts[id_]))).items():
             n_ab = ab.get(dual_parts(mu, r), 0)
             if n_ab:
                 term += _conformal_weight(r, level, mu) * n_ab * n_cd

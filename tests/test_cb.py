@@ -11,16 +11,16 @@ from cblocks.cb import (
     _cb_rank,
     _conformal_weight,
     _fuse,
-    _fusion_expand_cached,
     cb_rank,
     degree_m04,
     factorization_rank,
+    fusion_expand,
     level_weights,
     partner,
     vanishing_report,
     witten_rank,
 )
-from cblocks.errors import DomainError
+from cblocks.errors import ConsistencyError, DomainError
 from cblocks.nefgeo import FCurve, HassettWeights, parse_fcurve
 from cblocks.qgrass import GrassmannBox, QClass
 from cblocks.schur import _coinvariant_rank, _lr_mult, coinvariant_rank
@@ -105,8 +105,8 @@ def test_fusion_examples():
 
 
 def test_fusion_expand_small():
-    assert _fusion_expand_cached(2, 1, (1,), (1,)) == {(1, 1): 1}
-    assert _fusion_expand_cached(2, 1, (1,), (1, 1)) == {(): 1}
+    assert fusion_expand(2, 1, (1,), (1,)) == {(1, 1): 1}
+    assert fusion_expand(2, 1, (1,), (1, 1)) == {(): 1}
 
 
 def _reference_fusion_expand(r, level, p, q):
@@ -128,7 +128,7 @@ def test_fusion_expand_matches_always_reflect():
     for r, level in product((1, 2, 3), (1, 2, 3, 4)):
         pool = [w.parts for w in level_weights(r, level)]
         for p, q in product(pool, repeat=2):
-            assert _fusion_expand_cached(r, level, p, q) == _reference_fusion_expand(
+            assert fusion_expand(r, level, p, q) == _reference_fusion_expand(
                 r, level, p, q), (r, level, p, q)
             for u in _lr_mult(p, q, r + 1):
                 last = u[r] if len(u) > r else 0
@@ -161,6 +161,23 @@ def test_witten_rank_with_eight_level_classes():
         "3w1+w2,w1,2w2,w1+w2,4w1,w2,2w1+w2,w1+2w2,3w2,w1,3w1,w1+w2,2w1,w2", 2))
     assert critical_level(2, setup.weights) + 1 - setup.level == 8
     assert witten_rank(setup) == cb_rank(setup) == 5677872
+
+
+def test_witten_rank_checks_itself_above_either_bound(monkeypatch):
+    from cblocks import qgrass
+
+    real = qgrass.gw_invariant
+    monkeypatch.setattr(qgrass, "gw_invariant", lambda *args: real(*args) + 1)
+    # critical level 5 and theta level 9/2, so level 6 is above both (s = 0)
+    setup = BlockSetup(2, 6, parse_weight_list("2w1+w2,w2,2w1,2w2,3w2", 2))
+    with pytest.raises(ConsistencyError, match=r"\(critical level\): classical 7 != witten 8"):
+        witten_rank(setup)
+    # critical level 2 and theta level 3/2, so level 2 is above theta only
+    setup = BlockSetup(2, 2, parse_weight_list("w1,w2,w2,2w2", 2))
+    with pytest.raises(ConsistencyError, match=r"\(theta level\): classical 1 != witten 2"):
+        witten_rank(setup)
+    # at the critical level and below theta nothing is checked
+    assert witten_rank(BlockSetup(2, 1, (SlWeight(2, (1,)),) * 6)) == 2
 
 
 def test_critical_and_theta_levels():
@@ -211,6 +228,21 @@ def test_partner_identity_table_rows():
     assert (data.rank_source, data.rank_partner, data.rank_classical) == (1, 3, 4)
 
 
+def test_partner_checks_the_source_rank_above_theta(monkeypatch):
+    from cblocks import cb
+
+    # sl4 at its critical level 2, above its theta level 1
+    setup = BlockSetup(3, 2, parse_weight_list("w3,w3,w3,w3", 3))
+    data = partner(setup)
+    assert (data.rank_source, data.rank_partner, data.rank_classical) == (1, 0, 1)
+    real = cb.cb_rank
+    monkeypatch.setattr(cb, "cb_rank", lambda setup: real(setup) + 1)
+    # the source rank meets the classical rank before the identity 2 + 1 != 1
+    with pytest.raises(ConsistencyError,
+                       match=r"\(theta level\): classical 1 != conformal blocks 2$"):
+        partner(setup)
+
+
 def test_partner_precondition_message():
     w1 = SlWeight(2, (1,))
     with pytest.raises(DomainError) as exc:
@@ -255,7 +287,7 @@ def _reference_degree(r, level, ws):
     """(bulk, pairing terms, degree) with each split term summed over every
     level weight mu, reading the two fusion products at mu* and mu."""
     def fusion(a, b):
-        return _fusion_expand_cached(r, level, *sorted((a.parts, b.parts)))
+        return fusion_expand(r, level, *sorted((a.parts, b.parts)))
 
     bulk = cb_rank(BlockSetup(r, level, ws)) * sum(_conformal_weight(r, level, w.parts)
                                                    for w in ws)

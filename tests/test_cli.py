@@ -5,6 +5,8 @@ import os
 import re
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -335,10 +337,11 @@ def test_rank_both_disagreement_exits_3(monkeypatch):
 
 
 def test_rank_witten_disagreement_with_classical_above_critical_exits_3(monkeypatch):
-    from cblocks import cb
+    from cblocks import qgrass
 
-    real = cb.witten_rank
-    monkeypatch.setattr(cb, "witten_rank", lambda setup: real(setup) + 1)
+    # the fault sits inside the route, so witten_rank's own check must see it
+    real = qgrass.gw_invariant
+    monkeypatch.setattr(qgrass, "gw_invariant", lambda *args: real(*args) + 1)
     # critical level 5 and theta level 9/2, so level 6 is above both; there
     # the quantum route multiplies the classes themselves (s = 0)
     code, out, err = invoke("rank", "--r", "2", "--level", "6",
@@ -357,6 +360,35 @@ def test_rank_witten_disagreement_with_classical_above_critical_exits_3(monkeypa
                           "--weights", "w1,w1,w1,w1,w1,w1", "--method", "witten")
     assert code == 0
     assert "rank_witten     2" in out
+
+
+@pytest.mark.parametrize("r", (1000, 20000))
+def test_rank_of_a_tall_weight_stays_within_the_recursion_limit(r):
+    # most of w(r-2)'s rows equal the row above and cannot take a cell; the
+    # LR kernel must pass over them without a recursive call each, or this
+    # exceeds Python's recursion limit.  At r = 20000 the product w1 * w1
+    # also has r - 1 zero rows to drop, which must not cost r slices
+    started = time.perf_counter()
+    code, out, err = invoke("rank", "--r", str(r), "--level", "1",
+                            "--weights", f"w1,w1,w1,w{r - 2}")
+    elapsed = time.perf_counter() - started
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == ["rank_cb         1", "rank_classical  1"]
+    assert elapsed < 1
+
+
+def test_rank_works_in_the_size_of_the_diagrams_not_of_r():
+    # a small r first, so that loading the handler's modules is not counted
+    invoke("rank", "--r", "2", "--level", "1", "--weights", "0,0")
+    tracemalloc.start()
+    try:
+        code, out, _ = invoke("rank", "--r", "10000000", "--level", "1", "--weights", "0,0")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert out.splitlines()[1:] == ["rank_cb         1", "rank_classical  1"]
+    assert peak < 1 << 20
 
 
 def test_forced_partner_at_critical_checks_the_identity(monkeypatch):

@@ -11,9 +11,9 @@ from cblocks.qgrass import (
     QClass,
     _orbit,
     _orbit_mult,
-    _remove_rim_hooks,
     gw_invariant,
     quantum_product,
+    rim_hook_reduce,
 )
 from cblocks.schur import _lr_mult
 from cblocks.young import conjugate, partition, row
@@ -104,14 +104,14 @@ def test_box_validation():
 
 
 def test_rim_hook_examples():
-    assert _remove_rim_hooks((2, 1), GrassmannBox(2, 3)) == ((), 1, 1)
-    assert _remove_rim_hooks((2,), GrassmannBox(1, 2)) == ((), 1, 1)
-    assert _remove_rim_hooks((1, 1), GrassmannBox(2, 4)) == ((1, 1), 0, 1)
+    assert rim_hook_reduce((2, 1), GrassmannBox(2, 3)) == ((), 1, 1)
+    assert rim_hook_reduce((2,), GrassmannBox(1, 2)) == ((), 1, 1)
+    assert rim_hook_reduce((1, 1), GrassmannBox(2, 4)) == ((1, 1), 0, 1)
     # single 4-hook of height 1 picks up a sign in Gr(2,4)
-    assert _remove_rim_hooks((4,), GrassmannBox(2, 4)) == ((), 1, -1)
-    assert _remove_rim_hooks((3, 1), GrassmannBox(2, 4)) == ((), 1, 1)
+    assert rim_hook_reduce((4,), GrassmannBox(2, 4)) == ((), 1, -1)
+    assert rim_hook_reduce((3, 1), GrassmannBox(2, 4)) == ((), 1, 1)
     # stuck: beta collision modulo n
-    assert _remove_rim_hooks((4, 1), GrassmannBox(2, 4)) is None
+    assert rim_hook_reduce((4, 1), GrassmannBox(2, 4)) is None
 
 
 def test_projective_line_ring():
@@ -177,7 +177,7 @@ def test_rim_hook_order_independence(p, rng):
     if len(p) > 3:
         return
     shuffled = _reference_rim_hook_reduce(p, box, choose=_random_choosers(rng))
-    assert _remove_rim_hooks(p, box) == shuffled
+    assert rim_hook_reduce(p, box) == shuffled
 
 
 @settings(deadline=None, max_examples=40)
@@ -217,7 +217,7 @@ def test_gw_permutation_symmetry(classes, d, rng):
 @example((GrassmannBox(3, 5), (5, 5, 2)))
 def test_rim_hook_reduce_matches_reference(box_shape):
     box, p = box_shape
-    assert _remove_rim_hooks(p, box) == _reference_rim_hook_reduce(p, box)
+    assert rim_hook_reduce(p, box) == _reference_rim_hook_reduce(p, box)
 
 
 @settings(deadline=None, max_examples=150)

@@ -252,7 +252,7 @@ def _count_walks(monkeypatch):
 
 
 def _cold_ranks():
-    for cached in (_lr_slot, _coinvariant_rank, cb._cb_rank, cb._fusion_expand_cached):
+    for cached in (_lr_slot, _coinvariant_rank, cb._cb_rank, cb.fusion_expand):
         cached.cache_clear()
 
 

@@ -8,6 +8,7 @@ from cblocks.errors import DomainError, ParseError
 from cblocks.young import (
     BlockSetup,
     SlWeight,
+    box_complement,
     conjugate,
     dual_star,
     fits_level,
@@ -18,7 +19,7 @@ from cblocks.young import (
     transpose,
     weight_text,
 )
-from reference import critical_level, weight_from_fundamental
+from reference import critical_level, padded_box_complement, weight_from_fundamental
 from strategies import boxed_partitions, leveled_weights, sl_weights, weight_tuples
 
 
@@ -108,6 +109,13 @@ def test_theta_pairing_examples():
 def test_transpose_involution(rlw):
     r, level, w = rlw
     assert transpose(transpose(w, level), r) == w
+
+
+@given(boxed_partitions(), st.integers(min_value=0, max_value=3),
+       st.integers(min_value=0, max_value=3))
+def test_box_complement_matches_the_padded_formula(p, more_rows, more_width):
+    rows, width = len(p) + more_rows, (p[0] if p else 0) + more_width
+    assert box_complement(p, rows, width) == padded_box_complement(p, rows, width)
 
 
 @given(sl_weights())
