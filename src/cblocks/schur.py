@@ -32,24 +32,27 @@ bind, so it is the unbounded product.  It walks again only when a caller
 asks for more than the slot holds, so its answer may hold constituents
 wider than the width asked, and callers that pass a width drop them.  On
 one `ladder` list of the benchmark (seed 3), cb_rank then coinvariant_rank
-fill 1,182 slots and walk each once, all unbounded; coinvariant_rank alone
-fills 1,166 slots with 1,483 walks, 846 of them boxed.
+fill 762 slots and walk each once, all unbounded; coinvariant_rank alone
+fills 762 slots with 854 walks, 233 of them boxed.
 
 The coinvariant rank of a weight tuple is the coefficient of the forced
-(r+1) x width box in the product of its Schur functions.  Each half of the
-tuple is multiplied out inside the box, and the halves are joined by the
-box-complement pairing: s_u * s_v contains the box once when v is the
-complement of u in it (young.box_complement, built in the size of the
-complement, not padded to r+1 rows), and not otherwise.  Before each step
-the running shape u loses its c = u[r] full columns: in r+1 variables
-s_{u + c^{r+1}} = det^c * s_u, so s_u * s_q is the product of the normalised
-shape with q, each constituent shifted by c columns, and it lies in the box
-exactly when the unshifted constituent lies in the box c columns narrower.
+(r+1) x width box in the product of its Schur functions.  The sorted
+diagrams are dealt alternately into two halves, as the fusion route deals
+them, and each half is multiplied out in ascending order inside the box.
+The halves are joined by the box-complement pairing: s_u * s_v contains
+the box once when v is the complement of u in it (young.box_complement,
+built in the size of the complement, not padded to r+1 rows), and not
+otherwise.  Before each step the running shape u loses its c = u[r] full
+columns: in r+1 variables s_{u + c^{r+1}} = det^c * s_u, so s_u * s_q is
+the product of the normalised shape with q, each constituent shifted by
+c columns, and it lies in the box exactly when the unshifted constituent
+lies in the box c columns narrower.
 The step asks _lr_mult for the product at that narrower width and drops
 what lies outside it.  The box binds only when u[0] + q[0] exceeds the full
 width; otherwise the ask is the unbounded product.  Either way the step
 reads the slot that the fusion route fills, since it too multiplies
-normalised shapes and orders each pair the same way ((u, q) if u <= q).
+normalised shapes, deals the points into the same halves and orders each
+pair the same way ((u, q) if u <= q).
 When the fusion route has run first, as in vanishing_report, the slot holds
 the unbounded product and the classical route walks nothing.
 coinvariant_rank checks every rank, sums the sizes and finds the longest
@@ -176,9 +179,9 @@ def _lr_mult(p: Partition, q: Partition, row_bound: int,
     constituents wider than `width`, and a caller that passes one drops
     them.  The dict is the slot's own, so callers only read it.  The 2**16
     slots bound the memo.  One `ladder` operation list of the benchmark
-    fills about 1,200 and walks each once, unbounded, since each setup runs
-    cb_rank before coinvariant_rank; one `sweep` list fills about 1,000
-    with about 1,350 walks.
+    fills about 770 and walks each once, unbounded, since each setup runs
+    cb_rank before coinvariant_rank; one `sweep` list fills about 520 with
+    about 560 walks.
     """
     slot = _lr_slot(p, q, row_bound)
     full = (p[0] if p else 0) + (q[0] if q else 0)
@@ -225,6 +228,7 @@ def coinvariant_rank(r: int, weights: Sequence[SlWeight]):
 def _coinvariant_rank(r: int, width: int, parts: tuple) -> int:
     """coinvariant_rank of the diagrams `parts`, inside the (r+1) x width box.
 
+    The halves are parts[0::2] and parts[1::2], as in cb._cb_rank.
     Callers pass the diagrams sorted: the rank is symmetric in the points,
     so the sorted multiset is the cache key, and it does not depend on any
     level.  The 2**14 entries bound the cache; one `sweep` operation list
@@ -234,9 +238,8 @@ def _coinvariant_rank(r: int, width: int, parts: tuple) -> int:
     # _lr_mult walks inside the box unless its slot already holds a wider
     # product.  A shape's c full columns come off before the product and go
     # back on after
-    h = len(parts) // 2
     halves = []
-    for half in (parts[:h], parts[h:][::-1]):
+    for half in (parts[0::2], parts[1::2]):
         acc = {half[0] if half else (): 1}
         for q in half[1:]:
             nxt: dict[Partition, int] = {}

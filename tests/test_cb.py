@@ -336,7 +336,8 @@ def test_degree_vanishing_and_partner_identity():
 
 
 def test_cb_rank_edge_arities():
-    # n = 0..3 puts h = n // 2 points in the left half: 0, 0, 1 and 1
+    # n = 0..3 deals (n + 1) // 2 points to the first half (parts[0::2]) and
+    # n // 2 to the second (parts[1::2]): 0|0, 1|0, 1|1 and 2|1
     for r, level in ((1, 3), (2, 2), (3, 2)):
         pool = level_weights(r, level)
         assert cb_rank(BlockSetup(r, level, ())) == 1
@@ -346,9 +347,11 @@ def test_cb_rank_edge_arities():
             assert cb_rank(BlockSetup(r, level, (a, b))) == (1 if b == dual_star(a) else 0)
         for a, b, c in product(pool, repeat=3):
             expected = witten_rank(BlockSetup(r, level, (a, b, c)))
-            # each rotation puts a different point alone in the left half
+            assert cb_rank(BlockSetup(r, level, (a, b, c))) == expected
+            # the uncached body, so that each rotation really puts a different
+            # point alone in the second half
             for ws in ((a, b, c), (b, c, a), (c, a, b)):
-                assert cb_rank(BlockSetup(r, level, ws)) == expected
+                assert _cb_rank.__wrapped__(r, level, tuple(w.parts for w in ws)) == expected
 
 
 def test_fusion_sizes_hide_nothing_from_the_divisibility_shortcut():
@@ -360,8 +363,7 @@ def test_fusion_sizes_hide_nothing_from_the_divisibility_shortcut():
         pool = [w.parts for w in level_weights(r, level)]
         for n in (3, 4):
             for parts in product(pool, repeat=n):
-                h = n // 2
-                halves = (parts[:h], parts[h:][::-1])
+                halves = (parts[0::2], parts[1::2])
                 left, right = (_fuse(r, level, half) for half in halves)
                 for half, vec in zip(halves, (left, right)):
                     size = sum(map(sum, half)) % (r + 1)
@@ -383,6 +385,15 @@ def test_cb_equals_witten(rlw):
     r, level, ws = rlw
     setup = BlockSetup(r, level, ws)
     assert cb_rank(setup) == witten_rank(setup)
+
+
+@settings(deadline=None, max_examples=60)
+@given(weight_tuples(max_rank=2, max_level=3, max_points=6))
+def test_cb_rank_is_the_trivial_coefficient_of_one_chain(rlw):
+    # every point fused in one chain, with no split and no pairing: the rank is
+    # the coefficient of the trivial weight, whichever split cb_rank uses
+    r, level, ws = rlw
+    assert cb_rank(BlockSetup(r, level, ws)) == _fuse(r, level, [w.parts for w in ws]).get((), 0)
 
 
 @settings(deadline=None, max_examples=60)

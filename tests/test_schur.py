@@ -1,3 +1,4 @@
+import random
 from itertools import accumulate, product
 
 import pytest
@@ -277,6 +278,38 @@ def test_classical_route_reads_the_fusion_routes_products(monkeypatch, r, level,
     assert walks == []
 
 
+def _six_point_setups(seed=22, count=30):
+    """`count` seeded sl3 and sl4 six-point setups, each one level above
+    critical: sl3 rows at most 5, sl4 rows at most 3, as on `ladder`."""
+    rng = random.Random(seed)
+    setups = []
+    while len(setups) < count:
+        r, first = rng.choice(((2, 5), (3, 3)))
+        ws = tuple(SlWeight(r, sorted((rng.randint(0, first) for _ in range(r)), reverse=True))
+                   for _ in range(6))
+        total = sum(w.size for w in ws)
+        if total % (r + 1) or total // (r + 1) < max(w.row(1) for w in ws):
+            continue
+        setups.append(BlockSetup(r, total // (r + 1), ws))
+    return setups
+
+
+def test_the_split_walks_a_pinned_number_of_lr_products(monkeypatch):
+    # a count, not a time: dealing the sorted diagrams alternately into the two
+    # halves walks 245 products here, where the smallest n // 2 against the
+    # rest largest-first walked 376; the classical route then reads every
+    # product it needs from the fusion route's slots and walks none
+    setups = _six_point_setups()
+    assert all(s.level == s.critical_level + 1 for s in setups)
+    _cold_ranks()
+    walks = _count_walks(monkeypatch)
+    ranks = [cb_rank(s) for s in setups]
+    assert len(walks) == 245
+    del walks[:]
+    assert [coinvariant_rank(s.r, s.weights) for s in setups] == ranks
+    assert walks == []
+
+
 def test_standalone_classical_route_walks_inside_its_box(monkeypatch):
     # with no fusion route before it, every product whose box binds is walked
     # boxed: reading unbounded products and filtering them is far slower on
@@ -343,7 +376,8 @@ def test_invariant_oracle_capacity():
 
 
 def test_coinvariant_edge_arities():
-    # n = 0..3 puts h = n // 2 points in the left half: 0, 0, 1 and 1
+    # n = 0..3 deals (n + 1) // 2 points to the first half (parts[0::2]) and
+    # n // 2 to the second (parts[1::2]): 0|0, 1|0, 1|1 and 2|1
     for r, first_row in ((1, 3), (2, 3), (3, 2)):
         pool = level_weights(r, first_row)
         assert coinvariant_rank(r, ()) == 1
@@ -353,9 +387,15 @@ def test_coinvariant_edge_arities():
             assert coinvariant_rank(r, (a, b)) == (1 if b == dual_star(a) else 0)
         for a, b, c in product(pool, repeat=3):
             expected = invariant_oracle(r, (a, b, c))
-            # each rotation puts a different point alone in the left half
+            assert coinvariant_rank(r, (a, b, c)) == expected
+            width = coinvariant_box_width(r, (a, b, c))
+            if width is None:
+                continue
+            # the uncached body, so that each rotation really puts a different
+            # point alone in the second half
             for ws in ((a, b, c), (b, c, a), (c, a, b)):
-                assert coinvariant_rank(r, ws) == expected
+                parts = tuple(w.parts for w in ws)
+                assert _coinvariant_rank.__wrapped__(r, width, parts) == expected
 
 
 # sl3 weights with first row at most 3 have dimension at most 15, and
@@ -370,8 +410,7 @@ def test_coinvariant_matches_oracle(rlw):
 def _strips_full_columns(r, parts):
     """Whether some half of the body's contraction meets a shape with r+1
     rows before its last point, so that a later product strips full columns."""
-    h = len(parts) // 2
-    for half in (parts[:h], parts[h:][::-1]):
+    for half in (parts[0::2], parts[1::2]):
         running = {half[0]} if half else set()
         for q in half[1:-1]:
             running = {u for p in running for u in _lr_walk(p, q, r + 1)}
@@ -383,7 +422,7 @@ def _strips_full_columns(r, parts):
 @pytest.mark.parametrize("coeffs", [
     ((1, 0),) * 9,                        # (1)(1)(1) has (1,1,1)
     ((0, 1),) * 6,                        # (1,1)(1,1) has (2,1,1)
-    ((2, 0),) * 3 + ((0, 2),) * 3,        # (2,2)(2,2) has (4,2,2) and (3,3,2)
+    ((2, 0),) * 3 + ((0, 2),) * 3,        # (2)(2,2) has (3,2,1) and (2,2,2)
     ((1, 1),) * 6,                        # (2,1)(2,1) has (2,2,2)
     ((1, 1), (1, 1), (0, 2), (2, 0), (1, 0), (0, 1), (1, 1)),
 ])
