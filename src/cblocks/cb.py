@@ -36,9 +36,12 @@ Two independent rank algorithms are kept deliberately separate:
   drops what lies outside its box instead of walking boxed copies.
 
 * witten_rank evaluates one big quantum Schubert product on Gr(r+1, r+1+l)
-  and reads off a single coefficient.  Its level class sigma_l = sigma_(n-k)
-  is the generator T of the cyclic symmetry, so the s level classes are one
-  rotation of the product, with no LR expansion.
+  and reads off a single coefficient.  It works in the box with fewer rows:
+  when l < r+1 it passes the conjugate classes to Gr(l, r+1+l), whose
+  quantum ring is isomorphic through sigma_p -> sigma_p^T.  Its level class
+  sigma_l = sigma_(n-k) is the generator T of the cyclic symmetry, and its
+  conjugate (1^l) is in the same orbit of (), so either way the s level
+  classes are one rotation of the product, with no LR expansion.
 
 They share no reduction code, so their agreement is evidence rather than
 tautology.  On three points the split is one fusion coefficient read off by
@@ -61,7 +64,7 @@ from itertools import combinations_with_replacement
 
 from .errors import ConsistencyError, DomainError
 from .schur import _lr_mult, coinvariant_rank
-from .young import BlockSetup, Partition, SlWeight, dual_parts, dual_star, transpose
+from .young import BlockSetup, Partition, SlWeight, conjugate, dual_parts, dual_star, transpose
 
 
 def level_weights(r: int, level: int) -> tuple:
@@ -197,7 +200,10 @@ def _cb_rank(r: int, level: int, parts: tuple) -> int:
 def witten_rank(setup: BlockSetup):
     """Bundle rank as one quantum Schubert coefficient on Gr(r+1, r+1+level).
 
-    sigma_level = sigma_(n-k) = T, so the s level classes are one rotation.
+    The coefficient is read in the box with fewer rows: Gr(level, r+1+level)
+    with every class conjugated when level < r+1.  sigma_level = T, or its
+    conjugate (1^level) in the smaller box, is a rotation of (), so the s
+    level classes are one rotation.
     When s < 0 the classical rank is returned; above either bound otherwise,
     the coefficient is checked against it (VanishingReport.check_rank).
     """
@@ -209,9 +215,11 @@ def witten_rank(setup: BlockSetup):
     s = c + 1 - setup.level
     if s < 0:
         return coinvariant_rank(setup.r, setup.weights)
-    box = GrassmannBox(setup.r + 1, setup.r + 1 + setup.level)
-    classes = [w.parts for w in setup.weights] + [(setup.level,)] * s
-    rank = gw_invariant(box, classes, s)
+    k, level = setup.r + 1, setup.level
+    classes = [w.parts for w in setup.weights] + [(level,)] * s
+    if level < k:
+        classes = [conjugate(p) for p in classes]
+    rank = gw_invariant(GrassmannBox(min(k, level), k + level), classes, s)
     rep = VanishingReport(setup)
     if rep.above_critical or rep.above_theta:
         rep.check_rank(coinvariant_rank(setup.r, setup.weights), rank, "witten")

@@ -41,8 +41,22 @@ in orbit coordinates, cached once per unordered pair (_orbit_mult).  The
 orbit of () holds the unit, sigma_(n-k) and its powers, so a factor with
 representative () is a rotation with no LR product.  A term leaves orbit
 coordinates once, through its rotation table, when quantum_product returns
-or gw_invariant reads the q^d point-class coefficient; its q degree must
-then come out non-negative.
+or gw_invariant pairs its two halves; its q degree must then come out
+non-negative.
+
+gw_invariant contracts its classes in two halves (Bertram, Ciocan-Fontanine
+and Fulton, "Quantum multiplication of Schur polynomials", 1999, for the
+pairing).  Every class in the orbit of () is a rotation, so they all fold
+into one starting key ((), rot mod n, deg + turns (n-k)) with no product.
+The other classes are sorted and dealt alternately into two halves, as the
+two classical rank routes deal their diagrams, and each half is contracted
+in orbit coordinates and taken out of them.  Since <sigma_u, sigma_v, 1>_e
+is 1 when e = 0 and v is the Poincare dual u^ of u, and 0 otherwise, the
+q^d point-class coefficient of the whole product is the sum of
+L[u, i] R[u^, d - i] over the left half's terms.  The dual is taken on beta
+numbers, b -> n - 1 - b.  A smaller box is the caller's choice: Gr(k, n)
+and Gr(n - k, n) have isomorphic quantum rings through sigma_p ->
+sigma_p^T, and gw_invariant works in the box it is given.
 """
 
 from __future__ import annotations
@@ -72,10 +86,6 @@ class GrassmannBox(namedtuple("GrassmannBox", "k n")):
     @property
     def width(self) -> int:
         return self.n - self.k
-
-    @property
-    def point_class(self) -> Partition:
-        return (self.width,) * self.k
 
 
 def rim_hook_reduce(p: Partition, box: GrassmannBox):
@@ -182,15 +192,6 @@ def _orbit_mult(p0: Partition, q0: Partition, box: GrassmannBox) -> tuple:
     return tuple((key, c) for key, c in acc.items() if c)
 
 
-def _to_orbit(terms, box: GrassmannBox) -> dict:
-    """{(u0, rot, deg): coeff} for ((shape, q_degree), coeff) terms."""
-    acc: dict[tuple[Partition, int, int], int] = {}
-    for (p, d), c in terms:
-        p0, a, e, _ = _orbit(p, box)
-        acc[p0, a, d - e] = acc.get((p0, a, d - e), 0) + c
-    return acc
-
-
 def _orbit_product(x: dict, y: dict, box: GrassmannBox) -> dict:
     """Product of two {(u0, rot, deg): coeff} classes; a () factor only rotates."""
     n, w = box.n, box.width
@@ -199,10 +200,11 @@ def _orbit_product(x: dict, y: dict, box: GrassmannBox) -> dict:
         for (p0, b, f), m in y.items():
             hi, lo = (u0, p0) if u0 > p0 else (p0, u0)
             terms = _orbit_mult(hi, lo, box) if lo else (((hi, 0, 0), 1),)
+            ab, ef, cm = a + b, e + f, c * m
             for (v0, g, h), t in terms:
-                turns, rot = divmod(a + b + g, n)
-                key = (v0, rot, e + f + h + turns * w)
-                acc[key] = acc.get(key, 0) + c * m * t
+                turns, rot = divmod(ab + g, n)
+                key = (v0, rot, ef + h + turns * w)
+                acc[key] = acc.get(key, 0) + cm * t
     return acc
 
 
@@ -219,17 +221,33 @@ def _from_orbit(x: dict, box: GrassmannBox) -> dict[tuple[Partition, int], int]:
     return acc
 
 
+def _dual(u: Partition, box: GrassmannBox) -> Partition:
+    """Shape of the Poincare dual class of sigma_u: each beta b becomes n - 1 - b."""
+    k, n = box.k, box.n
+    betas = [x + k - a for a, x in enumerate(u + (0,) * (k - len(u)), start=1)]
+    shape = [n - 1 - b - k + a for a, b in enumerate(reversed(betas), start=1)]
+    while shape and not shape[-1]:
+        shape.pop()
+    return tuple(shape)
+
+
 def quantum_product(a: QClass, b: QClass) -> QClass:
     """q-linear product: classical LR expansion, then rim-hook reduction."""
     if a.box != b.box:
         raise DomainError(f"box mismatch: {a.box} vs {b.box}")
     box = a.box
-    return QClass(box, _from_orbit(
-        _orbit_product(_to_orbit(a.terms, box), _to_orbit(b.terms, box), box), box))
+    x, y = ({(p0, rot, d - e): c for (p, d), c in z.terms
+             for p0, rot, e, _ in [_orbit(p, box)]} for z in (a, b))
+    return QClass(box, _from_orbit(_orbit_product(x, y, box), box))
 
 
 def gw_invariant(box: GrassmannBox, classes: Sequence[Partition], d: int):
-    """Genus-0 degree-d invariant: q^d point-class coefficient of the product."""
+    """Genus-0 degree-d invariant: q^d point-class coefficient of the product.
+
+    Rotations of () fold into one starting key; the other classes, sorted,
+    are dealt alternately into two halves, which are paired by Poincare
+    duality (module docstring).
+    """
     classes = [partition(p) for p in classes]
     if len(classes) < 2:
         raise DomainError("need at least 2 classes")
@@ -240,8 +258,13 @@ def gw_invariant(box: GrassmannBox, classes: Sequence[Partition], d: int):
         return 0
     if sum(sum(p) for p in classes) != box.k * box.width + box.n * d:
         return 0
-    # rotations of () first, so they turn a single term
-    acc = {((), 0, 0): 1}
-    for p in sorted(classes, key=lambda p: bool(_orbit(p, box)[0])):
-        acc = _orbit_product(acc, _to_orbit((((p, 0), 1),), box), box)
-    return _from_orbit(acc, box).get((box.point_class, d), 0)
+    orbits = [_orbit(p, box) for p in sorted(classes)]
+    turns, rot = divmod(sum(a for p0, a, _, _ in orbits if not p0), box.n)
+    deg = turns * box.width - sum(e for p0, _, e, _ in orbits if not p0)
+    halves = [{((), rot, deg): 1}, {((), 0, 0): 1}]
+    for i, (p0, a, e, _) in enumerate(o for o in orbits if o[0]):
+        halves[i % 2] = _orbit_product(halves[i % 2], {(p0, a, -e): 1}, box)
+    left, right = (_from_orbit(half, box) for half in halves)
+    # <sigma_u, sigma_v, 1>_e is 1 when e = 0 and v is dual to u, else 0
+    return sum(c * right.get((_dual(u, box), d - i), 0)
+               for (u, i), c in left.items() if i <= d)

@@ -163,6 +163,29 @@ def test_witten_rank_with_eight_level_classes():
     assert witten_rank(setup) == cb_rank(setup) == 5677872
 
 
+def test_witten_rank_works_in_the_box_with_fewer_rows(monkeypatch):
+    # the level-rank dual of a ladder rung: six (1^16) in sl32 at level 3
+    # runs in Gr(3, 35) on the conjugate classes, not in Gr(32, 35)
+    from cblocks import qgrass
+
+    boxes = []
+    real = qgrass.gw_invariant
+
+    def recorded(box, classes, d):
+        boxes.append((box, tuple(classes)))
+        return real(box, classes, d)
+
+    monkeypatch.setattr(qgrass, "gw_invariant", recorded)
+    setup = BlockSetup(31, 3, (SlWeight(31, (1,) * 16),) * 6)
+    assert witten_rank(setup) == 7905
+    assert boxes == [(GrassmannBox(3, 35), ((16,),) * 6)]
+    # below the critical level the level class (1) of Gr(3, 4) is
+    # conjugated too: sl3 at level 1 runs in Gr(1, 4) on seven classes (1)
+    boxes.clear()
+    assert witten_rank(BlockSetup(2, 1, (SlWeight(2, (1,)),) * 6)) == 1
+    assert boxes == [(GrassmannBox(1, 4), ((1,),) * 7)]
+
+
 def test_witten_rank_checks_itself_above_either_bound(monkeypatch):
     from cblocks import qgrass
 

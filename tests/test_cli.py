@@ -377,6 +377,18 @@ def test_rank_of_a_tall_weight_stays_within_the_recursion_limit(r):
     assert elapsed < 1
 
 
+def test_witten_rank_of_a_tall_weight_runs_in_the_box_with_fewer_rows():
+    # Gr(4001, 4002) has k = 4001 rows; its transpose Gr(1, 4002) has one,
+    # and every class there is a rotation of (), so no product is expanded
+    started = time.perf_counter()
+    code, out, err = invoke("rank", "--r", "4000", "--level", "1",
+                            "--weights", "w1,w1,w1,w3998", "--method", "witten")
+    elapsed = time.perf_counter() - started
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == ["rank_witten     1", "rank_classical  1"]
+    assert elapsed < 1
+
+
 def test_rank_works_in_the_size_of_the_diagrams_not_of_r():
     # a small r first, so that loading the handler's modules is not counted
     invoke("rank", "--r", "2", "--level", "1", "--weights", "0,0")

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations_with_replacement
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cblocks import qgrass
+from cblocks.cb import cb_rank, witten_rank
 from cblocks.errors import ConsistencyError, DomainError
 from cblocks.qgrass import (
     GrassmannBox,
@@ -16,7 +18,7 @@ from cblocks.qgrass import (
     rim_hook_reduce,
 )
 from cblocks.schur import _lr_mult
-from cblocks.young import conjugate, partition, row
+from cblocks.young import BlockSetup, SlWeight, conjugate, partition, row
 from strategies import boxed_partitions
 from test_cli import golden_argv, invoke
 
@@ -66,7 +68,7 @@ def _reference_gw(box, classes, d):
             for (v, f), m in _reference_quantum_mult(u, p, box).items():
                 folded[v, e + f] = folded.get((v, e + f), 0) + c * m
         acc = folded
-    return acc.get((box.point_class, d), 0)
+    return acc.get(((box.width,) * box.k, d), 0)
 
 
 def _box_shapes(k, width):
@@ -314,31 +316,130 @@ def test_products_expand_only_orbit_representatives():
     assert _orbit_mult.cache_info().currsize == 4 * 5 // 2
 
 
-def test_gw_invariant_matches_reference_fold_exhaustively():
-    # every multiset of 2-4 classes in the boxes with k <= 3, n <= 6 that is
-    # graded for some d <= 2, in both orders; the fold takes rotations of ()
-    # (sigma_(n-k), its powers, the unit) out of order
-    checked = 0
-    level_copies = set()
-    other_rotations = 0
+def _graded_class_tuples():
+    """(box, classes, d) for every multiset of 2-4 classes in the boxes with
+    k <= 3, n <= 6 that is graded for some d <= 2."""
     for k in range(1, 4):
         for n in range(k + 1, 7):
             box = GrassmannBox(k, n)
-            rotations = {u for u, _ in _orbit((), box)[3]} - {(), (n - k,)}
             for size in range(2, 5):
                 for classes in combinations_with_replacement(_box_shapes(k, n - k), size):
                     d, rest = divmod(sum(map(sum, classes)) - k * (n - k), n)
-                    if rest or not 0 <= d <= 2:
-                        continue
-                    expected = _reference_gw(box, classes, d)
-                    assert gw_invariant(box, classes, d) == expected, (box, classes, d)
-                    assert gw_invariant(box, classes[::-1], d) == expected, (box, classes, d)
-                    level_copies.add(classes.count((n - k,)))
-                    other_rotations += any(p in rotations for p in classes)
-                    checked += 1
+                    if not rest and 0 <= d <= 2:
+                        yield box, classes, d
+
+
+def test_gw_invariant_matches_reference_fold_exhaustively():
+    # in both orders; the contraction takes rotations of () (sigma_(n-k), its
+    # powers, the unit) out of order and deals the other classes into halves
+    checked = 0
+    level_copies = set()
+    other_rotations = 0
+    for box, classes, d in _graded_class_tuples():
+        expected = _reference_gw(box, classes, d)
+        assert gw_invariant(box, classes, d) == expected, (box, classes, d)
+        assert gw_invariant(box, classes[::-1], d) == expected, (box, classes, d)
+        rotations = {u for u, _ in _orbit((), box)[3]} - {(), (box.width,)}
+        level_copies.add(classes.count((box.width,)))
+        other_rotations += any(p in rotations for p in classes)
+        checked += 1
     assert {1, 2, 3} <= level_copies
     assert other_rotations > 0
     assert checked == 2775
+
+
+def test_gw_invariant_and_products_transpose_exhaustively():
+    # QH*(Gr(k, n)) = QH*(Gr(n-k, n)) through sigma_p -> sigma_p^T, which
+    # witten_rank uses to work in the box with fewer rows
+    checked = 0
+    for box, classes, d in _graded_class_tuples():
+        flipped = GrassmannBox(box.width, box.n)
+        assert (gw_invariant(box, classes, d)
+                == gw_invariant(flipped, [conjugate(p) for p in classes], d)), (box, classes, d)
+        checked += 1
+    assert checked == 2775
+    for k, n in _EXHAUSTIVE_BOXES:
+        box, flipped = GrassmannBox(k, n), GrassmannBox(n - k, n)
+        shapes = _box_shapes(k, n - k)
+        for p in shapes:
+            for q in shapes:
+                product = quantum_product(QClass.of(box, p), QClass.of(box, q))
+                expected = QClass(flipped, {(conjugate(u), e): c for (u, e), c in product.terms})
+                got = quantum_product(QClass.of(flipped, conjugate(p)),
+                                      QClass.of(flipped, conjugate(q)))
+                assert got == expected, (box, p, q)
+
+
+@st.composite
+def _long_graded_tuples(draw):
+    """(box, classes, d): 5-8 classes for 2 <= k <= n - 2, n <= 8, d <= 3,
+    whose sizes add up to k(n-k) + nd; about one class in four is drawn
+    from the orbit of () when that orbit holds a shape of an allowed size.
+
+    Smaller boxes hold only rotations of (), which the exhaustive test covers."""
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(k + 2, 8))
+    box, top = GrassmannBox(k, n), k * (n - k)
+    size = draw(st.integers(5, 8))
+    d = draw(st.integers(0, min(3, top * (size - 1) // n)))
+    shapes = _box_shapes(k, n - k)
+    units = {u for u, _ in _orbit((), box)[3]}
+    classes = []
+    budget = top + n * d
+    for i in range(size):
+        lo, hi = max(0, budget - top * (size - 1 - i)), min(top, budget)
+        fits = [p for p in shapes if lo <= sum(p) <= hi]
+        rotations = [p for p in fits if p in units]
+        if rotations and draw(st.integers(0, 3)) == 0:
+            fits = rotations
+        classes.append(draw(st.sampled_from(fits)))
+        budget -= sum(classes[-1])
+    return box, draw(st.permutations(classes)), d
+
+
+@settings(deadline=None, max_examples=100)
+@given(_long_graded_tuples())
+def test_gw_invariant_matches_reference_fold_on_long_tuples(case):
+    # each half holds up to four classes here, against two in the
+    # exhaustive test
+    box, classes, d = case
+    assert gw_invariant(box, classes, d) == _reference_gw(box, classes, d)
+
+
+def _below_critical_setups(seed=23, count=30):
+    """`count` seeded sl3, sl4 and sl5 setups of 6-8 points below their
+    critical level, so witten_rank multiplies in s >= 1 level classes; sl4
+    and sl5 run in the transposed box."""
+    rng = random.Random(seed)
+    setups = []
+    while len(setups) < count:
+        r, level = rng.choice(((2, 4), (3, 3), (4, 2)))
+        ws = tuple(SlWeight(r, sorted((rng.randint(0, level) for _ in range(r)), reverse=True))
+                   for _ in range(rng.randint(6, 8)))
+        total = sum(w.size for w in ws)
+        if total % (r + 1) or total // (r + 1) <= level:
+            continue
+        setups.append(BlockSetup(r, level, ws))
+    return setups
+
+
+def test_the_halves_make_a_pinned_number_of_orbit_products(monkeypatch):
+    # a count, not a time: folding the rotations of () into one key and
+    # dealing the other classes into two halves makes 180 products here,
+    # where one left-to-right chain over every class made 364
+    setups = _below_critical_setups()
+    expected = [cb_rank(s) for s in setups]
+    calls = []
+    real = qgrass._orbit_product
+
+    def counted(x, y, box):
+        calls.append(box)
+        return real(x, y, box)
+
+    monkeypatch.setattr(qgrass, "_orbit_product", counted)
+    assert [witten_rank(s) for s in setups] == expected
+    assert len(calls) == 180
+    assert any(expected)
 
 
 def test_negative_q_degree_raises_and_exits_3(monkeypatch):
