@@ -16,8 +16,10 @@ Two independent rank algorithms are kept deliberately separate:
   loop sees the rest.  The contraction vectors are keyed by normalised
   parts tuples, the dual is taken on those tuples, and the cached fusion
   products (fusion_expand) are {parts: coeff} dicts.  degree_m04 reads
-  its split terms from the same cached products and takes the conformal
-  weight of each constituent that enters a term straight from its parts.
+  each split's two-point vectors from _fuse, so it asks fusion_expand as
+  the contraction does (at the clipped level, the pair in _fuse's order)
+  and reuses its entries; it takes the conformal weight of each
+  constituent that enters a term straight from its parts.
   Each half's vector comes from _fuse, and its keys keep the half's total
   size mod r+1: normalising removes full columns of r+1 cells, and a
   reflection keeps the sum of the gl tuple.  Since |mu*| = -|mu| mod r+1,
@@ -36,12 +38,12 @@ Two independent rank algorithms are kept deliberately separate:
   drops what lies outside its box instead of walking boxed copies.
 
 * witten_rank evaluates one big quantum Schubert product on Gr(r+1, r+1+l)
-  and reads off a single coefficient.  It works in the box with fewer rows:
-  when l < r+1 it passes the conjugate classes to Gr(l, r+1+l), whose
-  quantum ring is isomorphic through sigma_p -> sigma_p^T.  Its level class
-  sigma_l = sigma_(n-k) is the generator T of the cyclic symmetry, and its
-  conjugate (1^l) is in the same orbit of (), so either way the s level
-  classes are one rotation of the product, with no LR expansion.
+  and reads off a single coefficient.  It passes that box as it is;
+  gw_invariant moves to the box with fewer rows, Gr(l, r+1+l) with the
+  classes conjugated when l < r+1.  The level class sigma_l = sigma_(n-k)
+  is the generator T of the cyclic symmetry, and its conjugate (1^l) is in
+  the same orbit of (), so in either box the s level classes are one
+  rotation of the product, with no LR expansion.
 
 They share no reduction code, so their agreement is evidence rather than
 tautology.  On three points the split is one fusion coefficient read off by
@@ -64,7 +66,7 @@ from itertools import combinations_with_replacement
 
 from .errors import ConsistencyError, DomainError
 from .schur import _lr_mult, coinvariant_rank
-from .young import BlockSetup, Partition, SlWeight, conjugate, dual_parts, dual_star, transpose
+from .young import BlockSetup, Partition, SlWeight, dual_parts, dual_star, transpose
 
 
 def level_weights(r: int, level: int) -> tuple:
@@ -200,8 +202,8 @@ def _cb_rank(r: int, level: int, parts: tuple) -> int:
 def witten_rank(setup: BlockSetup):
     """Bundle rank as one quantum Schubert coefficient on Gr(r+1, r+1+level).
 
-    The coefficient is read in the box with fewer rows: Gr(level, r+1+level)
-    with every class conjugated when level < r+1.  sigma_level = T, or its
+    The box goes to gw_invariant as it is, and gw_invariant reads the
+    coefficient in the box with fewer rows.  sigma_level = T, or its
     conjugate (1^level) in the smaller box, is a rotation of (), so the s
     level classes are one rotation.
     When s < 0 the classical rank is returned; above either bound otherwise,
@@ -217,9 +219,7 @@ def witten_rank(setup: BlockSetup):
         return coinvariant_rank(setup.r, setup.weights)
     k, level = setup.r + 1, setup.level
     classes = [w.parts for w in setup.weights] + [(level,)] * s
-    if level < k:
-        classes = [conjugate(p) for p in classes]
-    rank = gw_invariant(GrassmannBox(min(k, level), k + level), classes, s)
+    rank = gw_invariant(GrassmannBox(k, k + level), classes, s)
     rep = VanishingReport(setup)
     if rep.above_critical or rep.above_theta:
         rep.check_rank(coinvariant_rank(setup.r, setup.weights), rank, "witten")
@@ -373,9 +373,9 @@ def degree_m04(setup: BlockSetup) -> DegreeBreakdown:
     bulk = rep.rank_cb * sum(_conformal_weight(r, level, p) for p in parts)
     pairings = []
     for (ia, ib), (ic, id_) in _SPLITS:
-        ab = fusion_expand(r, level, *sorted((parts[ia], parts[ib])))
+        ab = _fuse(r, level, (parts[ia], parts[ib]))
         term = Fraction(0)
-        for mu, n_cd in fusion_expand(r, level, *sorted((parts[ic], parts[id_]))).items():
+        for mu, n_cd in _fuse(r, level, (parts[ic], parts[id_])).items():
             n_ab = ab.get(dual_parts(mu, r), 0)
             if n_ab:
                 term += _conformal_weight(r, level, mu) * n_ab * n_cd

@@ -119,9 +119,11 @@ def _cmd_partner(ns):
 def _cmd_gw(ns):
     from .qgrass import GrassmannBox, gw_invariant
 
+    texts = ns.grassmannian.split(",")
     try:
-        k_text, n_text = ns.grassmannian.split(",")
-        box = GrassmannBox(int(k_text), int(n_text))
+        if len(texts) != 2:
+            raise ValueError("expected K,N")
+        box = GrassmannBox(int(texts[0]), int(texts[1]))
     except (ValueError, DomainError) as e:
         raise ParseError(f"bad --grassmannian {ns.grassmannian!r}: {e}") from None
     classes = [parse_partition(chunk) for chunk in ns.classes.split(";")]

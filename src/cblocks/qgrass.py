@@ -5,9 +5,12 @@ box.  Products are computed classically (row-bounded Littlewood-Richardson)
 and then every out-of-box shape is pushed back by removing rim hooks of size
 n, each removal costing one power of q and a sign.
 
-Rim hooks are handled on first-column hook lengths ("beta numbers"): the
-shape with rows p^(1) >= ... >= p^(k) becomes the strictly decreasing set
-{p^(a) + k - a}.  Removing an n-rim-hook starting in row a is exactly
+Every map the route makes on a class is a map on its first-column hook
+lengths ("beta numbers"): the shape with rows p^(1) >= ... >= p^(k) becomes
+the strictly decreasing list {p^(a) + k - a}.  Rim hooks take the betas to
+their residues mod n, T^j shifts each by -j mod n, and Poincare duality
+sends b to n - 1 - b.  _betas and _shape are the one conversion each way,
+and the removal loop, the rotations and the dual all use them.  Removing an n-rim-hook starting in row a is exactly
 replacing beta_a by beta_a - n, legal when that value is free; the hook's
 height is one plus the number of betas passed on the way down.  The class is
 zero precisely when two betas collide modulo n, and the signed result does
@@ -31,7 +34,11 @@ beta - 1 mod n and costs one q unless 0 is a beta (then the top row n - k
 is added instead); a full turn costs q^(n-k).  An orbit may close after a
 divisor of n steps (in Gr(2,4), sigma_(1) and sigma_(2,1) form one of
 length 2).  Each shape p has its orbit data (p0, a, e): p0 is the smallest
-shape of its T-orbit by (size, shape) and T^a sigma_p0 = q^e sigma_p.
+shape of its T-orbit by (size, shape) and T^a sigma_p0 = q^e sigma_p.  No
+rotation table is kept: T^j is one closed form on the betas (_rotate, with
+q^(j - #{b < j})), and a step shrinks the shape only when 0 is free, so the
+smallest shapes sit at the k rotations j that are betas, and _orbit builds
+only those.
 
 Products run in orbit coordinates: a key (u0, rot, deg) stands for
 q^deg T^rot sigma_u0, u0 a representative and 0 <= rot < n, with T^n =
@@ -40,7 +47,7 @@ the representatives: an LR expansion reduced by rim hooks and re-expressed
 in orbit coordinates, cached once per unordered pair (_orbit_mult).  The
 orbit of () holds the unit, sigma_(n-k) and its powers, so a factor with
 representative () is a rotation with no LR product.  A term leaves orbit
-coordinates once, through its rotation table, when quantum_product returns
+coordinates once, through _rotate, when quantum_product returns
 or gw_invariant pairs its two halves; its q degree must then come out
 non-negative.
 
@@ -54,9 +61,14 @@ in orbit coordinates and taken out of them.  Since <sigma_u, sigma_v, 1>_e
 is 1 when e = 0 and v is the Poincare dual u^ of u, and 0 otherwise, the
 q^d point-class coefficient of the whole product is the sum of
 L[u, i] R[u^, d - i] over the left half's terms.  The dual is taken on beta
-numbers, b -> n - 1 - b.  A smaller box is the caller's choice: Gr(k, n)
-and Gr(n - k, n) have isomorphic quantum rings through sigma_p ->
-sigma_p^T, and gw_invariant works in the box it is given.
+numbers, b -> n - 1 - b.
+
+gw_invariant also chooses the box.  Gr(k, n) and Gr(n - k, n) have
+isomorphic quantum rings through sigma_p -> sigma_p^T, so once the classes
+are checked against the box it is given and the grading holds, it moves to
+Gr(n - k, n) with every class conjugated when k > n - k.  Its products then
+build at most min(k, n - k) betas per shape; the gw command's tall box
+Gr(2000, 2001), for one, runs in Gr(1, 2001).
 """
 
 from __future__ import annotations
@@ -67,7 +79,7 @@ from functools import lru_cache
 
 from .errors import ConsistencyError, DomainError
 from .schur import _lr_walk
-from .young import Partition, fits_box, partition
+from .young import Partition, conjugate, fits_box, partition
 
 
 class GrassmannBox(namedtuple("GrassmannBox", "k n")):
@@ -88,6 +100,19 @@ class GrassmannBox(namedtuple("GrassmannBox", "k n")):
         return self.n - self.k
 
 
+def _betas(p: Partition, k: int) -> list[int]:
+    """Beta numbers of p as k or fewer rows: the descending list p^(a) + k - a."""
+    return [x + k - a for a, x in enumerate(p + (0,) * (k - len(p)), start=1)]
+
+
+def _shape(betas: list[int], k: int) -> Partition:
+    """The partition of k descending beta numbers, zero rows dropped."""
+    shape = [x - k + a for a, x in enumerate(betas, start=1)]
+    while shape and not shape[-1]:
+        shape.pop()
+    return tuple(shape)
+
+
 def rim_hook_reduce(p: Partition, box: GrassmannBox):
     """Push p into the box by removing n-rim-hooks, always from the largest beta.
 
@@ -97,7 +122,7 @@ def rim_hook_reduce(p: Partition, box: GrassmannBox):
     k, n = box.k, box.n
     if not p or p[0] <= n - k:
         return p, 0, 1
-    betas = [x + k - a for a, x in enumerate(p + (0,) * (k - len(p)), start=1)]
+    betas = _betas(p, k)
     d = 0
     sign = 1
     while betas[0] >= n:
@@ -112,10 +137,7 @@ def rim_hook_reduce(p: Partition, box: GrassmannBox):
             sign = -sign
         betas[:j] = betas[1:j] + [b]
         d += 1
-    shape = [x - k + a for a, x in enumerate(betas, start=1)]
-    while shape and not shape[-1]:
-        shape.pop()
-    return tuple(shape), d, sign
+    return _shape(betas, k), d, sign
 
 
 class QClass(namedtuple("QClass", "box terms")):
@@ -147,33 +169,39 @@ class QClass(namedtuple("QClass", "box terms")):
         return dict(self.terms).get((partition(p), q_degree), 0)
 
 
-@lru_cache(maxsize=2**14)
-def _orbit(p: Partition, box: GrassmannBox) -> tuple:
-    """(p0, a, e, turn) for the T-orbit of sigma_p, T = sigma_(n-k).
+@lru_cache(maxsize=2**16)
+def _rotate(u0: Partition, j: int, box: GrassmannBox) -> tuple:
+    """T^j sigma_u0 = q^g sigma_u as (u, g), for 0 <= j <= n.
 
-    turn[j] = (u, g) says T^j sigma_p = q^g sigma_u for j = 0..n-1; p0 is
-    the smallest shape of the orbit by (size, shape) and T^a sigma_p0 =
-    q^e sigma_p with 0 <= a < n.  One entry per shape, each holding its n
-    rotations, so at most (shapes in the box) x n rotations per box.
+    Every beta b becomes b - j mod n.  Step t pays one q unless 0 is then a
+    beta, that is unless t is a beta of u0, so g = j - #{b < j}.  The 2**16
+    entries bound the cache; one `quantum` operation list of the benchmark
+    fills about 400.
     """
     k, n = box.k, box.n
-    betas = [x + k - a for a, x in enumerate(p + (0,) * (k - len(p)), start=1)]
-    g = 0
-    turn = []
-    for _ in range(n):
-        shape = [x - k + a for a, x in enumerate(betas, start=1)]
-        while shape and not shape[-1]:
-            shape.pop()
-        turn.append((tuple(shape), g))
-        if betas[-1]:
-            g += 1
-            betas = [x - 1 for x in betas]
-        else:
-            betas = [n - 1] + [x - 1 for x in betas[:-1]]
-    j = min(range(n), key=lambda i: (sum(turn[i][0]), turn[i][0]))
+    betas = _betas(u0, k)
+    low = [b + n - j for b in betas if b < j]
+    return _shape(low + [b - j for b in betas if b >= j], k), j - len(low)
+
+
+@lru_cache(maxsize=2**14)
+def _orbit(p: Partition, box: GrassmannBox) -> tuple:
+    """(p0, a, e) for the T-orbit of sigma_p, T = sigma_(n-k).
+
+    p0 is the smallest shape of the orbit by (size, shape) and T^a sigma_p0 =
+    q^e sigma_p with 0 <= a < n.  A T step shrinks the shape by k when it
+    finds 0 free and grows it by n - k when 0 is a beta, so T^j sigma_p has
+    size |p| + n #{b < j} - kj, and the smallest shapes sit at the j that
+    are betas of p: of those k rotations, only the smallest are built.
+    """
+    k, n = box.k, box.n
+    betas = _betas(p, k)
+    # size of T^b sigma_p less |p|; k - 1 - i betas lie below betas[i]
+    sizes = [n * (k - 1 - i) - k * b for i, b in enumerate(betas)]
+    least = min(sizes)
+    p0, j = min((_rotate(p, b, box)[0], b) for b, s in zip(betas, sizes) if s == least)
     # T^(n-j) T^j sigma_p = q^(n-k) sigma_p
-    e = n - k - turn[j][1] if j else 0
-    return turn[j][0], -j % n, e, tuple(turn)
+    return p0, -j % n, n - k - _rotate(p, j, box)[1] if j else 0
 
 
 @lru_cache(maxsize=2**14)
@@ -187,7 +215,7 @@ def _orbit_mult(p0: Partition, q0: Partition, box: GrassmannBox) -> tuple:
         red = rim_hook_reduce(u, box)
         if red is not None:
             shape, d, sign = red
-            u0, a, e, _ = _orbit(shape, box)
+            u0, a, e = _orbit(shape, box)
             acc[u0, a, d - e] = acc.get((u0, a, d - e), 0) + sign * m
     return tuple((key, c) for key, c in acc.items() if c)
 
@@ -212,7 +240,7 @@ def _from_orbit(x: dict, box: GrassmannBox) -> dict[tuple[Partition, int], int]:
     """{(shape, q_degree): coeff}; each term's q degree must come out non-negative."""
     acc: dict[tuple[Partition, int], int] = {}
     for (u0, rot, deg), c in x.items():
-        v, g = _orbit(u0, box)[3][rot]
+        v, g = _rotate(u0, rot, box)
         deg += g
         if deg < 0:
             raise ConsistencyError(
@@ -223,12 +251,7 @@ def _from_orbit(x: dict, box: GrassmannBox) -> dict[tuple[Partition, int], int]:
 
 def _dual(u: Partition, box: GrassmannBox) -> Partition:
     """Shape of the Poincare dual class of sigma_u: each beta b becomes n - 1 - b."""
-    k, n = box.k, box.n
-    betas = [x + k - a for a, x in enumerate(u + (0,) * (k - len(u)), start=1)]
-    shape = [n - 1 - b - k + a for a, b in enumerate(reversed(betas), start=1)]
-    while shape and not shape[-1]:
-        shape.pop()
-    return tuple(shape)
+    return _shape([box.n - 1 - b for b in reversed(_betas(u, box.k))], box.k)
 
 
 def quantum_product(a: QClass, b: QClass) -> QClass:
@@ -237,16 +260,17 @@ def quantum_product(a: QClass, b: QClass) -> QClass:
         raise DomainError(f"box mismatch: {a.box} vs {b.box}")
     box = a.box
     x, y = ({(p0, rot, d - e): c for (p, d), c in z.terms
-             for p0, rot, e, _ in [_orbit(p, box)]} for z in (a, b))
+             for p0, rot, e in [_orbit(p, box)]} for z in (a, b))
     return QClass(box, _from_orbit(_orbit_product(x, y, box), box))
 
 
 def gw_invariant(box: GrassmannBox, classes: Sequence[Partition], d: int):
     """Genus-0 degree-d invariant: q^d point-class coefficient of the product.
 
-    Rotations of () fold into one starting key; the other classes, sorted,
-    are dealt alternately into two halves, which are paired by Poincare
-    duality (module docstring).
+    Works in the box with fewer rows: Gr(n - k, n) with every class
+    conjugated when k > n - k.  Rotations of () fold into one starting key;
+    the other classes, sorted, are dealt alternately into two halves, which
+    are paired by Poincare duality (module docstring).
     """
     classes = [partition(p) for p in classes]
     if len(classes) < 2:
@@ -258,11 +282,13 @@ def gw_invariant(box: GrassmannBox, classes: Sequence[Partition], d: int):
         return 0
     if sum(sum(p) for p in classes) != box.k * box.width + box.n * d:
         return 0
+    if box.k > box.width:
+        box, classes = GrassmannBox(box.width, box.n), [conjugate(p) for p in classes]
     orbits = [_orbit(p, box) for p in sorted(classes)]
-    turns, rot = divmod(sum(a for p0, a, _, _ in orbits if not p0), box.n)
-    deg = turns * box.width - sum(e for p0, _, e, _ in orbits if not p0)
+    turns, rot = divmod(sum(a for p0, a, _ in orbits if not p0), box.n)
+    deg = turns * box.width - sum(e for p0, _, e in orbits if not p0)
     halves = [{((), rot, deg): 1}, {((), 0, 0): 1}]
-    for i, (p0, a, e, _) in enumerate(o for o in orbits if o[0]):
+    for i, (p0, a, e) in enumerate(o for o in orbits if o[0]):
         halves[i % 2] = _orbit_product(halves[i % 2], {(p0, a, -e): 1}, box)
     left, right = (_from_orbit(half, box) for half in halves)
     # <sigma_u, sigma_v, 1>_e is 1 when e = 0 and v is dual to u, else 0

@@ -164,26 +164,35 @@ def test_witten_rank_with_eight_level_classes():
 
 
 def test_witten_rank_works_in_the_box_with_fewer_rows(monkeypatch):
-    # the level-rank dual of a ladder rung: six (1^16) in sl32 at level 3
-    # runs in Gr(3, 35) on the conjugate classes, not in Gr(32, 35)
+    # the level-rank dual of a ladder rung: six (1^16) in sl32 at level 3.
+    # witten_rank passes Gr(32, 35) as it is, and gw_invariant multiplies
+    # the conjugate classes in Gr(3, 35)
     from cblocks import qgrass
 
-    boxes = []
-    real = qgrass.gw_invariant
+    seen = {}
 
-    def recorded(box, classes, d):
-        boxes.append((box, tuple(classes)))
-        return real(box, classes, d)
+    def record(name, at):   # the boxes that qgrass.<name> receives as args[at]
+        real = getattr(qgrass, name)
 
-    monkeypatch.setattr(qgrass, "gw_invariant", recorded)
+        def recorded(*args):
+            seen.setdefault(name, set()).add(args[at])
+            return real(*args)
+        monkeypatch.setattr(qgrass, name, recorded)
+
+    record("gw_invariant", 0)
+    record("_orbit_product", -1)
+    record("_from_orbit", -1)
     setup = BlockSetup(31, 3, (SlWeight(31, (1,) * 16),) * 6)
     assert witten_rank(setup) == 7905
-    assert boxes == [(GrassmannBox(3, 35), ((16,),) * 6)]
+    assert seen == {"gw_invariant": {GrassmannBox(32, 35)},
+                    "_orbit_product": {GrassmannBox(3, 35)},
+                    "_from_orbit": {GrassmannBox(3, 35)}}
     # below the critical level the level class (1) of Gr(3, 4) is
-    # conjugated too: sl3 at level 1 runs in Gr(1, 4) on seven classes (1)
-    boxes.clear()
+    # conjugated too: sl3 at level 1 runs in Gr(1, 4), where all seven
+    # classes are rotations of () and no product is taken
+    seen.clear()
     assert witten_rank(BlockSetup(2, 1, (SlWeight(2, (1,)),) * 6)) == 1
-    assert boxes == [(GrassmannBox(1, 4), ((1,),) * 7)]
+    assert seen == {"gw_invariant": {GrassmannBox(3, 4)}, "_from_orbit": {GrassmannBox(1, 4)}}
 
 
 def test_witten_rank_checks_itself_above_either_bound(monkeypatch):

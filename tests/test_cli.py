@@ -270,6 +270,35 @@ def test_gw_bad_box_exits_1():
     assert code == 1
 
 
+@pytest.mark.parametrize("box", ("2,4,5", "2"))
+def test_gw_box_of_the_wrong_arity_exits_1(box):
+    assert invoke("gw", "--grassmannian", box, "--classes", "[1];[1]", "--qdegree", "0") == (
+        1, "", f"bad --grassmannian {box!r}: expected K,N\n")
+
+
+def test_gw_on_a_tall_box_runs_in_the_box_with_fewer_rows(monkeypatch):
+    # Gr(2000, 2001) has 2000 rows; gw_invariant moves to its transpose
+    # Gr(1, 2001), where each conjugated class (1000) is one rotation of ()
+    from cblocks import qgrass
+
+    boxes = set()
+
+    def record(real):
+        def recorded(x, box):
+            boxes.add(box)
+            return real(x, box)
+        return recorded
+
+    for name in ("_orbit", "_from_orbit"):
+        monkeypatch.setattr(qgrass, name, record(getattr(qgrass, name)))
+    column = "[" + ",".join(["1"] * 1000) + "]"
+    code, out, err = invoke("gw", "--grassmannian", "2000,2001",
+                            "--classes", f"{column};{column}", "--qdegree", "0")
+    assert (code, err) == (0, "")
+    assert out.endswith("value  1\n")
+    assert boxes == {qgrass.GrassmannBox(1, 2001)}
+
+
 def test_fcurve_modes():
     base = ("fcurve", "--r", "2", "--level", "1",
             "--weights", "w1,w1,w1,w1,w1,w1", "--curve", "1|2|3|4,5,6")

@@ -13,6 +13,7 @@ from cblocks.qgrass import (
     QClass,
     _orbit,
     _orbit_mult,
+    _rotate,
     gw_invariant,
     quantum_product,
     rim_hook_reduce,
@@ -200,7 +201,9 @@ def test_gw_grassmann_duality(classes, d):
     box = GrassmannBox(2, 5)
     dual_box = GrassmannBox(3, 5)
     flipped = [conjugate(p) for p in classes]
-    assert gw_invariant(box, classes, d) == gw_invariant(dual_box, flipped, d)
+    # gw_invariant works in Gr(2, 5) for both; the reference fold in the box given
+    assert gw_invariant(box, classes, d) == _reference_gw(dual_box, flipped, d)
+    assert gw_invariant(dual_box, flipped, d) == _reference_gw(box, classes, d)
 
 
 @settings(deadline=None, max_examples=60)
@@ -265,13 +268,16 @@ def test_quantum_mult_matches_reference_exhaustively():
     assert pairs == 7356
 
 
-def _rotate(p, m, box):
-    """T^m sigma_p = q^g sigma_u as (u, g), for any m >= 0, one step at a time."""
-    g = 0
-    for _ in range(m):
-        p, step = _orbit(p, box)[3][1]
-        g += step
-    return p, g
+def _turn_by_steps(p, box):
+    """[(u, g)] with T^j sigma_p = q^g sigma_u for j = 0..n, one step of
+    test_cyclic_symmetry's rule at a time: the top row goes in when a row is
+    free, otherwise one full column comes out for one q."""
+    turn = [(p, 0)]
+    for _ in range(box.n):
+        u, g = turn[-1]
+        turn.append(((box.width,) + u, g) if len(u) < box.k
+                    else (partition(x - 1 for x in u), g + 1))
+    return turn
 
 
 def test_rotation_laws():
@@ -280,27 +286,25 @@ def test_rotation_laws():
             box = GrassmannBox(k, k + width)
             n = box.n
             for lam in _box_shapes(k, width):
-                turn = _orbit(lam, box)[3]
-                assert len(turn) == n and turn[0] == (lam, 0)
-                # one step is test_cyclic_symmetry's single-term rule
-                if len(lam) < k:
-                    assert turn[1] == ((width,) + lam, 0)
-                else:
-                    assert turn[1] == (partition(x - 1 for x in lam), 1)
-                # a full turn costs q^(n-k)
-                assert _rotate(lam, n, box) == (lam, width)
-                # T^a T^b = T^(a+b), the rotation table read past one turn
+                turn = _turn_by_steps(lam, box)
+                # the closed form on beta numbers is the step-by-step rotation,
+                # and a full turn costs q^(n-k)
+                assert [_rotate(lam, j, box) for j in range(n + 1)] == turn
+                assert turn[n] == (lam, width)
+                # T^a T^b = T^(a+b), the rotation read past one turn
                 for a in range(n):
                     u, g = turn[a]
                     for b in range(n):
-                        v, h = _orbit(u, box)[3][b]
+                        v, h = _rotate(u, b, box)
                         w, f = turn[(a + b) % n]
                         assert (v, g + h) == (w, f + width * ((a + b) // n))
-                # the orbit data reproduces lam from the smallest shape of its orbit
-                p0, a, e, _ = _orbit(lam, box)
+                # the orbit data reproduces lam from the smallest shape of its
+                # orbit, which is its own representative
+                p0, a, e = _orbit(lam, box)
                 assert (sum(p0), p0) == min((sum(u), u) for u, _ in turn)
                 assert 0 <= a < n and e >= 0
-                assert _orbit(p0, box)[3][a] == (lam, e)
+                assert _turn_by_steps(p0, box)[a] == (lam, e)
+                assert _orbit(p0, box) == (p0, 0, 0)
 
 
 def test_products_expand_only_orbit_representatives():
@@ -339,7 +343,7 @@ def test_gw_invariant_matches_reference_fold_exhaustively():
         expected = _reference_gw(box, classes, d)
         assert gw_invariant(box, classes, d) == expected, (box, classes, d)
         assert gw_invariant(box, classes[::-1], d) == expected, (box, classes, d)
-        rotations = {u for u, _ in _orbit((), box)[3]} - {(), (box.width,)}
+        rotations = {u for u, _ in _turn_by_steps((), box)} - {(), (box.width,)}
         level_copies.add(classes.count((box.width,)))
         other_rotations += any(p in rotations for p in classes)
         checked += 1
@@ -350,14 +354,16 @@ def test_gw_invariant_matches_reference_fold_exhaustively():
 
 def test_gw_invariant_and_products_transpose_exhaustively():
     # QH*(Gr(k, n)) = QH*(Gr(n-k, n)) through sigma_p -> sigma_p^T, which
-    # witten_rank uses to work in the box with fewer rows
-    checked = 0
+    # gw_invariant uses to work in the box with fewer rows; the reference
+    # fold never transposes, so each side runs in its own box
+    checked = transposed = 0
     for box, classes, d in _graded_class_tuples():
         flipped = GrassmannBox(box.width, box.n)
         assert (gw_invariant(box, classes, d)
-                == gw_invariant(flipped, [conjugate(p) for p in classes], d)), (box, classes, d)
+                == _reference_gw(flipped, [conjugate(p) for p in classes], d)), (box, classes, d)
         checked += 1
-    assert checked == 2775
+        transposed += box.k > box.width
+    assert (checked, transposed) == (2775, 215)
     for k, n in _EXHAUSTIVE_BOXES:
         box, flipped = GrassmannBox(k, n), GrassmannBox(n - k, n)
         shapes = _box_shapes(k, n - k)
@@ -383,7 +389,7 @@ def _long_graded_tuples(draw):
     size = draw(st.integers(5, 8))
     d = draw(st.integers(0, min(3, top * (size - 1) // n)))
     shapes = _box_shapes(k, n - k)
-    units = {u for u, _ in _orbit((), box)[3]}
+    units = {u for u, _ in _turn_by_steps((), box)}
     classes = []
     budget = top + n * d
     for i in range(size):
@@ -446,8 +452,8 @@ def test_negative_q_degree_raises_and_exits_3(monkeypatch):
     real = qgrass._orbit
 
     def shifted(p, box):   # T^a sigma_p0 = q^(e+1) sigma_p, one q too many
-        p0, a, e, turn = real(p, box)
-        return p0, a, e + 1, turn
+        p0, a, e = real(p, box)
+        return p0, a, e + 1
 
     monkeypatch.setattr(qgrass, "_orbit", shifted)
     box = GrassmannBox(2, 4)
