@@ -38,7 +38,8 @@ shape of its T-orbit by (size, shape) and T^a sigma_p0 = q^e sigma_p.  No
 rotation table is kept: T^j is one closed form on the betas (_rotate, with
 q^(j - #{b < j})), and a step shrinks the shape only when 0 is free, so the
 smallest shapes sit at the k rotations j that are betas, and _orbit builds
-only those.
+only those, outside _rotate's cache, which keeps only the rotations that
+are read back.
 
 Products run in orbit coordinates: a key (u0, rot, deg) stands for
 q^deg T^rot sigma_u0, u0 a representative and 0 <= rot < n, with T^n =
@@ -176,7 +177,7 @@ def _rotate(u0: Partition, j: int, box: GrassmannBox) -> tuple:
     Every beta b becomes b - j mod n.  Step t pays one q unless 0 is then a
     beta, that is unless t is a beta of u0, so g = j - #{b < j}.  The 2**16
     entries bound the cache; one `quantum` operation list of the benchmark
-    fills about 400.
+    fills about 250.
     """
     k, n = box.k, box.n
     betas = _betas(u0, k)
@@ -199,9 +200,12 @@ def _orbit(p: Partition, box: GrassmannBox) -> tuple:
     # size of T^b sigma_p less |p|; k - 1 - i betas lie below betas[i]
     sizes = [n * (k - 1 - i) - k * b for i, b in enumerate(betas)]
     least = min(sizes)
-    p0, j = min((_rotate(p, b, box)[0], b) for b, s in zip(betas, sizes) if s == least)
+    # the scan calls _rotate's uncached body: only _from_orbit reads rotations back
+    turn = _rotate.__wrapped__
+    p0, j, g = min((u, b, g) for b, s in zip(betas, sizes) if s == least
+                   for u, g in [turn(p, b, box)])
     # T^(n-j) T^j sigma_p = q^(n-k) sigma_p
-    return p0, -j % n, n - k - _rotate(p, j, box)[1] if j else 0
+    return p0, -j % n, n - k - g if j else 0
 
 
 @lru_cache(maxsize=2**14)

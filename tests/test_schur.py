@@ -253,8 +253,12 @@ def _count_walks(monkeypatch):
 
 
 def _cold_ranks():
-    for cached in (_lr_slot, _coinvariant_rank, cb._cb_rank, cb.fusion_expand):
-        cached.cache_clear()
+    """Empty every functools cache of cb and schur, found by scanning the two
+    modules, so that a new memo cannot leave a walk count warm."""
+    for module in (cb, schur):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear") and value.__module__ == module.__name__:
+                value.cache_clear()
 
 
 @pytest.mark.parametrize("r, level, texts", [
