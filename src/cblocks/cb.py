@@ -20,14 +20,12 @@ Two independent rank algorithms are kept deliberately separate:
   the contraction does (at the clipped level, the pair in _fuse's order)
   and reuses its entries; it takes the conformal weight of each
   constituent that enters a term straight from its parts.
-  Each half's vector comes from _fuse, which reads a half of two or more
-  diagrams from a bounded memo (_fused_half) keyed on the whole half, at
-  the level clipped to the half's sum of first rows, where the vector stops
-  changing.  Setups of a search are mostly distinct, but their halves are
-  not: on one `sweep` list of the benchmark (seed 3) cb_rank contracts
-  6,620 such halves, of which 1,476 are distinct, and on one `ladder` list
-  598, of which 554 are distinct.  The vector's keys keep the half's total
-  size mod r+1: normalising removes full columns of r+1 cells, and a
+  Each half's vector comes from _fuse, a bounded memo keyed on (r, level,
+  the whole half).  Setups of a search are mostly distinct, but their
+  halves are not: on one `sweep` list of the benchmark (seed 3) cb_rank
+  contracts 7,100 halves, of which 1,759 are distinct, and on one `ladder`
+  list 598, of which 567 are distinct.  The vector's keys keep the half's
+  total size mod r+1: normalising removes full columns of r+1 cells, and a
   reflection keeps the sum of the gl tuple.  Since |mu*| = -|mu| mod r+1,
   a left mu meets a right mu* only when r+1 divides the whole total, so
   cb_rank returns 0 without contracting when it does not, which is when
@@ -65,7 +63,6 @@ quantum rank, so no caller builds a report to check a rank.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -134,9 +131,10 @@ def fusion_expand(r: int, level: int, p: Partition, q: Partition) -> dict[Partit
 
     The dict is the cache entry itself, so callers only read it, as with
     _lr_mult.  At every level from p[0] + q[0] up the product is the same,
-    so _fuse asks at min(level, p[0] + q[0]) and one entry serves all those
-    levels.  The 2**16 entries bound the cache; one `ladder` operation list
-    of the benchmark fills about 1,000, and one `sweep` list about 600.
+    so _fuse asks each pair at min(level, p[0] + q[0]) and one entry serves
+    all those levels.  The 2**16 entries bound the cache; one `ladder`
+    operation list of the benchmark fills about 1,000, and one `sweep` list
+    about 600.
     """
     acc: dict[Partition, int] = {}
     for u, mult in _lr_mult(p, q, r + 1).items():
@@ -156,32 +154,18 @@ def fusion_expand(r: int, level: int, p: Partition, q: Partition) -> dict[Partit
     return {parts: c for parts, c in acc.items() if c}
 
 
-def _fuse(r: int, level: int, parts: Sequence[Partition]) -> dict[Partition, int]:
+@lru_cache(maxsize=1 << 14)
+def _fuse(r: int, level: int, parts: tuple) -> dict[Partition, int]:
     """Fusion vector {mu: multiplicity} of the diagrams `parts`, contracted
     left to right one point at a time; {(): 1} when `parts` is empty.
 
-    A half of at most one diagram is its own vector.  Longer halves are read
-    from the memo _fused_half at min(level, sum of first rows): no product
-    along the chain spreads wider than that sum, so every level from it up
-    gives the same vector and shares one entry.
+    The memo is keyed by the whole half, so a half that recurs across setups
+    is contracted once.  The dict is the cache entry itself, so callers only
+    read it, as with fusion_expand.  The 2**14 entries bound the cache; one
+    `sweep` operation list of the benchmark fills about 1,800, and one
+    `ladder` list about 570.
     """
-    if len(parts) < 2:
-        return {parts[0] if parts else (): 1}
-    parts = tuple(parts)
-    reach = sum(p[0] for p in parts if p)
-    return _fused_half(r, reach if reach < level else level, parts)
-
-
-@lru_cache(maxsize=1 << 14)
-def _fused_half(r: int, level: int, parts: tuple) -> dict[Partition, int]:
-    """_fuse of two or more diagrams, keyed by the whole half.
-
-    The dict is the cache entry itself, so callers only read it, as with
-    fusion_expand.  The 2**14 entries bound the cache; one `sweep`
-    operation list of the benchmark fills about 1,500, and one `ladder`
-    list about 550.
-    """
-    vec = {parts[0]: 1}
+    vec = {parts[0] if parts else (): 1}
     for q in parts[1:]:
         nxt: dict[Partition, int] = {}
         # no constituent spreads wider than mu[0] + q[0], so at that level or
@@ -217,15 +201,12 @@ def _cb_rank(r: int, level: int, parts: tuple) -> int:
     Callers pass the diagrams sorted: the rank is symmetric in the points,
     so (r, level, sorted multiset) is the cache key, and each half is then
     ascending with about half the cells.  Both half vectors come from
-    _fuse's memo (_fused_half), and the pairing loops over the smaller one.
+    _fuse's memo, and the pairing loops over the left one.
     The 2**14 entries bound the cache; one `sweep` operation list of 40,000
     setups fills about 3,600 and one `ladder` list about 300.
     """
     left = _fuse(r, level, parts[0::2])
     right = _fuse(r, level, parts[1::2])
-    # mu -> mu* is an involution on the keys, so either vector can drive
-    if len(right) < len(left):
-        left, right = right, left
     total = 0
     for mu, c in left.items():
         total += c * right.get(dual_parts(mu, r), 0)

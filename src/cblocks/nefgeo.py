@@ -24,18 +24,21 @@ class FCurve(namedtuple("FCurve", "blocks")):
     __slots__ = ()
 
     def __new__(cls, blocks):
-        blocks = tuple(frozenset(int(i) for i in b) for b in blocks)
+        # the indices are counted before they become sets, so that a repeat
+        # inside one block is refused as an overlap between two blocks is
+        blocks = [[int(i) for i in b] for b in blocks]
         if len(blocks) != 4:
             raise DomainError(f"need exactly 4 blocks, got {len(blocks)}")
         if any(not b for b in blocks):
             raise DomainError("empty block in F-curve")
         union = frozenset().union(*blocks)
         if sum(len(b) for b in blocks) != len(union):
-            raise DomainError("blocks overlap")
+            raise DomainError("blocks overlap or repeat an index")
         n = len(union)
         if union != frozenset(range(1, n + 1)):
             raise DomainError(f"blocks must cover 1..{n} exactly, got {sorted(union)}")
-        return super().__new__(cls, blocks)  # four frozensets of 1-based indices
+        # four frozensets of 1-based indices
+        return super().__new__(cls, tuple(frozenset(b) for b in blocks))
 
     @property
     def n(self) -> int:
@@ -48,7 +51,7 @@ def parse_fcurve(text: str, n: int) -> FCurve:
     if len(chunks) != 4:
         raise ParseError(f"need 4 blocks separated by '|', got {len(chunks)}")
     try:
-        blocks = tuple(frozenset(int(x) for x in chunk.split(",")) for chunk in chunks)
+        blocks = [[int(x) for x in chunk.split(",")] for chunk in chunks]
     except ValueError:
         raise ParseError(f"bad index in F-curve {text!r}") from None
     try:

@@ -55,12 +55,11 @@ normalised shapes, deals the points into the same halves and orders each
 pair the same way ((u, q) if u <= q).
 When the fusion route has run first, as in vanishing_report, the slot holds
 the unbounded product and the classical route walks nothing.
-Each half of two or more diagrams is read from a bounded memo (_boxed_half)
-keyed on the whole half, at the width clipped to the half's sum of first
-rows, where the box stops binding: on one `sweep` list of the benchmark
-(seed 3) the classical route multiplies out 4,763 such halves, of which
-1,635 are distinct, and on one `ladder` list 598, of which 554 are
-distinct.  The pairing loops over the smaller of the two vectors.
+Each half is read from a bounded memo (_coinvariant_half) keyed on (r,
+width, the whole half): on one `sweep` list of the benchmark (seed 3) the
+classical route multiplies out 4,960 halves, of which 2,032 are distinct,
+and on one `ladder` list 598, of which 567 are distinct.  The pairing loops
+over the left vector.
 coinvariant_rank checks every rank, sums the sizes and finds the longest
 first row in one pass over the weights, takes its early returns, then reads
 a bounded memo (_coinvariant_rank) keyed on r, the box width and the sorted
@@ -235,8 +234,8 @@ def _coinvariant_rank(r: int, width: int, parts: tuple) -> int:
     """coinvariant_rank of the diagrams `parts`, inside the (r+1) x width box.
 
     The halves are parts[0::2] and parts[1::2], as in cb._cb_rank; both
-    vectors come from _coinvariant_half's memo (_boxed_half), and the
-    pairing loops over the smaller one.
+    vectors come from _coinvariant_half's memo, and the pairing loops over
+    the left one.
     Callers pass the diagrams sorted: the rank is symmetric in the points,
     so the sorted multiset is the cache key, and it does not depend on any
     level.  The 2**14 entries bound the cache; one `sweep` operation list
@@ -244,10 +243,6 @@ def _coinvariant_rank(r: int, width: int, parts: tuple) -> int:
     """
     left = _coinvariant_half(r, width, parts[0::2])
     right = _coinvariant_half(r, width, parts[1::2])
-    # v -> v's box complement is an involution on the keys, so either vector
-    # can drive
-    if len(right) < len(left):
-        left, right = right, left
     rank = 0
     for u, mult in left.items():
         # s_u * s_v reaches the box shape exactly when v is u's complement in it
@@ -255,34 +250,21 @@ def _coinvariant_rank(r: int, width: int, parts: tuple) -> int:
     return rank
 
 
+@lru_cache(maxsize=1 << 14)
 def _coinvariant_half(r: int, width: int, half: tuple) -> dict[Partition, int]:
     """{shape: multiplicity} of the product of the diagrams `half`, inside the
-    (r+1) x width box; {(): 1} when `half` is empty.
+    (r+1) x width box, multiplied left to right; {(): 1} when `half` is empty.
 
-    A half of at most one diagram is its own vector.  Longer halves are read
-    from the memo _boxed_half at min(width, sum of first rows): no product
-    along the chain is wider than that sum, so every width from it up gives
-    the same vector and shares one entry.
-    """
-    if len(half) < 2:
-        return {half[0] if half else (): 1}
-    reach = sum(p[0] for p in half if p)
-    return _boxed_half(r, reach if reach < width else width, half)
-
-
-@lru_cache(maxsize=1 << 14)
-def _boxed_half(r: int, width: int, half: tuple) -> dict[Partition, int]:
-    """_coinvariant_half of two or more diagrams, keyed by the whole half.
-
-    The dict is the cache entry itself, so callers only read it.  The 2**14
-    entries bound the cache; one `sweep` operation list of the benchmark
-    fills about 1,700, and one `ladder` list about 550.
+    The memo is keyed by the whole half, so a half that recurs across setups
+    is multiplied out once.  The dict is the cache entry itself, so callers
+    only read it.  The 2**14 entries bound the cache; one `sweep` operation
+    list of the benchmark fills about 2,000, and one `ladder` list about 570.
     """
     # every partial product only grows, so shapes outside the box are dropped:
     # _lr_mult walks inside the box unless its slot already holds a wider
     # product.  A shape's c full columns come off before the product and go
     # back on after
-    acc = {half[0]: 1}
+    acc = {half[0] if half else (): 1}
     for q in half[1:]:
         nxt: dict[Partition, int] = {}
         for shape, mult in acc.items():

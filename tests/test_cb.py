@@ -425,7 +425,7 @@ def test_cb_rank_is_the_trivial_coefficient_of_one_chain(rlw):
     # every point fused in one chain, with no split and no pairing: the rank is
     # the coefficient of the trivial weight, whichever split cb_rank uses
     r, level, ws = rlw
-    assert cb_rank(BlockSetup(r, level, ws)) == _fuse(r, level, [w.parts for w in ws]).get((), 0)
+    assert cb_rank(BlockSetup(r, level, ws)) == _fuse(r, level, tuple(w.parts for w in ws)).get((), 0)
 
 
 @settings(deadline=None, max_examples=60)

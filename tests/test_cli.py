@@ -163,6 +163,11 @@ def test_bad_partition_literal_exits_1(literal):
     assert code == 1 and out == "" and err
 
 
+def test_fcurve_with_a_repeated_index_exits_1():
+    assert invoke("fcurve", "--r", "2", "--level", "1", "--weights", "w1,w1,w1,w1",
+                  "--curve", "1|2|3|4,4") == (1, "", "blocks overlap or repeat an index\n")
+
+
 def test_partner_off_critical_exits_2():
     code, _, err = invoke("partner", "--r", "2", "--level", "3", "--weights", "w1,w1,w1")
     assert code == 2

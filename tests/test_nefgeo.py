@@ -34,6 +34,9 @@ def test_fcurve_validation():
         F({1}, {1, 2}, {3}, {4})
     with pytest.raises(DomainError):
         F({1}, {2}, {3}, {5})
+    # a repeat inside one block, counted before the blocks become sets
+    with pytest.raises(DomainError):
+        FCurve([[1, 1], [2], [3], [4]])
     assert F({1}, {2}, {3}, {4, 5, 6}).n == 6
 
 
@@ -46,6 +49,8 @@ def test_parse_fcurve():
         parse_fcurve("1|2|3|4", 6)
     with pytest.raises(ParseError):
         parse_fcurve("1|2|x|4", 4)
+    with pytest.raises(ParseError):
+        parse_fcurve("1|2|3|4,4", 4)
 
 
 def test_contracts_typeA_examples():
