@@ -21,25 +21,22 @@ Two independent rank algorithms are kept deliberately separate:
   and reuses its entries; it takes the conformal weight of each
   constituent that enters a term straight from its parts.
   Each half's vector comes from _fuse, a bounded memo keyed on (r, level,
-  the whole half).  Setups of a search are mostly distinct, but their
-  halves are not: on one `sweep` list of the benchmark (seed 3) cb_rank
-  contracts 7,100 halves, of which 1,759 are distinct, and on one `ladder`
-  list 598, of which 567 are distinct.  The vector's keys keep the half's
-  total size mod r+1: normalising removes full columns of r+1 cells, and a
-  reflection keeps the sum of the gl tuple.  Since |mu*| = -|mu| mod r+1,
-  a left mu meets a right mu* only when r+1 divides the whole total, so
-  cb_rank returns 0 without contracting when it does not, which is when
-  the setup's critical level is None.  Otherwise it
-  reads a bounded memo (_cb_rank) keyed on (r, level, sorted diagrams): the
-  rank is symmetric in the points, so every ordering of a multiset shares
-  one entry.  The memo deals the sorted diagrams alternately into the two
-  halves and contracts each in ascending order, so neither half carries
-  most of the cells and builds a wide vector; on one `ladder` list of the
-  benchmark (seed 3) the kernel walks 762 LR products.  Its classical
-  products are unbounded, and they fill the LR memo's slots
-  (schur._lr_mult); where both routes run, as in vanishing_report, the
-  fusion route runs first, so the classical route reads those products and
-  drops what lies outside its box instead of walking boxed copies.
+  the whole half): setups of a search are mostly distinct, but their
+  halves repeat.  The vector's keys keep the half's total size mod r+1:
+  normalising removes full columns of r+1 cells, and a reflection keeps
+  the sum of the gl tuple.  Since |mu*| = -|mu| mod r+1, a left mu meets a
+  right mu* only when r+1 divides the whole total, so cb_rank returns 0
+  without contracting when it does not, which is when the setup's critical
+  level is None.  Otherwise it reads a bounded memo (_cb_rank) keyed on
+  (r, level, sorted diagrams): the rank is symmetric in the points, so
+  every ordering of a multiset shares one entry.  The memo deals the
+  sorted diagrams alternately into the two halves and contracts each in
+  ascending order, so neither half carries most of the cells and builds a
+  wide vector.  Its classical products are unbounded, and they fill the LR
+  memo's slots (schur._lr_mult); where both routes run, as in
+  vanishing_report, the fusion route runs first, so the classical route
+  reads those products and drops what lies outside its box instead of
+  walking boxed copies.
 
 * witten_rank evaluates one big quantum Schubert product on Gr(r+1, r+1+l)
   and reads off a single coefficient.  It passes that box as it is;
@@ -132,9 +129,7 @@ def fusion_expand(r: int, level: int, p: Partition, q: Partition) -> dict[Partit
     The dict is the cache entry itself, so callers only read it, as with
     _lr_mult.  At every level from p[0] + q[0] up the product is the same,
     so _fuse asks each pair at min(level, p[0] + q[0]) and one entry serves
-    all those levels.  The 2**16 entries bound the cache; one `ladder`
-    operation list of the benchmark fills about 1,000, and one `sweep` list
-    about 600.
+    all those levels.  The 2**16 entries bound the cache.
     """
     acc: dict[Partition, int] = {}
     for u, mult in _lr_mult(p, q, r + 1).items():
@@ -161,9 +156,7 @@ def _fuse(r: int, level: int, parts: tuple) -> dict[Partition, int]:
 
     The memo is keyed by the whole half, so a half that recurs across setups
     is contracted once.  The dict is the cache entry itself, so callers only
-    read it, as with fusion_expand.  The 2**14 entries bound the cache; one
-    `sweep` operation list of the benchmark fills about 1,800, and one
-    `ladder` list about 570.
+    read it, as with fusion_expand.  The 2**14 entries bound the cache.
     """
     vec = {parts[0] if parts else (): 1}
     for q in parts[1:]:
@@ -202,8 +195,7 @@ def _cb_rank(r: int, level: int, parts: tuple) -> int:
     so (r, level, sorted multiset) is the cache key, and each half is then
     ascending with about half the cells.  Both half vectors come from
     _fuse's memo, and the pairing loops over the left one.
-    The 2**14 entries bound the cache; one `sweep` operation list of 40,000
-    setups fills about 3,600 and one `ladder` list about 300.
+    The 2**14 entries bound the cache.
     """
     left = _fuse(r, level, parts[0::2])
     right = _fuse(r, level, parts[1::2])

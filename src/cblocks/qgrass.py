@@ -176,8 +176,7 @@ def _rotate(u0: Partition, j: int, box: GrassmannBox) -> tuple:
 
     Every beta b becomes b - j mod n.  Step t pays one q unless 0 is then a
     beta, that is unless t is a beta of u0, so g = j - #{b < j}.  The 2**16
-    entries bound the cache; one `quantum` operation list of the benchmark
-    fills about 250.
+    entries bound the cache.
     """
     k, n = box.k, box.n
     betas = _betas(u0, k)

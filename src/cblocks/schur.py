@@ -7,8 +7,10 @@ the count of i's in rows 1..j may not exceed the count of (i-1)'s in rows
 every shape with too many rows at each step, which keeps intermediate
 expansions inside the world the rank computations live in.
 
-The kernel _lr_walk works on plain row tuples padded to the row bound.  It
-adds one letter per row of its second factor, so it first orients the pair
+The kernel _lr_walk works on plain row tuples padded to the row bound, or
+to the rows of the two factors together when that is fewer: no
+constituent of s_p * s_q has more rows than p and q together.  It adds one
+letter per row of its second factor, so it first orients the pair
 (c^nu_{p,q} = c^nu_{q,p}): the factor with fewer rows, then fewer cells,
 goes second, and an empty second factor returns at once.  For each (shape,
 previous strip) state it computes every row's cap once (the width for the
@@ -30,10 +32,7 @@ keeps one slot per (p, q, row_bound), holding the product walked at the
 widest first-row bound asked so far; a bound of p[0] + q[0] or more cannot
 bind, so it is the unbounded product.  It walks again only when a caller
 asks for more than the slot holds, so its answer may hold constituents
-wider than the width asked, and callers that pass a width drop them.  On
-one `ladder` list of the benchmark (seed 3), cb_rank then coinvariant_rank
-fill 762 slots and walk each once, all unbounded; coinvariant_rank alone
-fills 762 slots with 854 walks, 233 of them boxed.
+wider than the width asked, and callers that pass a width drop them.
 
 The coinvariant rank of a weight tuple is the coefficient of the forced
 (r+1) x width box in the product of its Schur functions.  The sorted
@@ -55,11 +54,9 @@ normalised shapes, deals the points into the same halves and orders each
 pair the same way ((u, q) if u <= q).
 When the fusion route has run first, as in vanishing_report, the slot holds
 the unbounded product and the classical route walks nothing.
-Each half is read from a bounded memo (_coinvariant_half) keyed on (r,
-width, the whole half): on one `sweep` list of the benchmark (seed 3) the
-classical route multiplies out 4,960 halves, of which 2,032 are distinct,
-and on one `ladder` list 598, of which 567 are distinct.  The pairing loops
-over the left vector.
+Each half is multiplied out by _coinvariant_half, which reads its LR
+products from the slots; when the two halves are equal, one vector serves
+both.  The pairing loops over the left vector.
 coinvariant_rank checks every rank, sums the sizes and finds the longest
 first row in one pass over the weights, takes its early returns, then reads
 a bounded memo (_coinvariant_rank) keyed on r, the box width and the sorted
@@ -96,7 +93,8 @@ def _lr_walk(p: Partition, q: Partition, row_bound: int,
     size_p, size_q = sum(p), sum(q)
     if (len(q), size_q) > (len(p), size_p):
         p, q, size_p, size_q = q, p, size_q, size_p
-    rows = row_bound
+    # no constituent has more rows than the two factors together
+    rows = min(row_bound, len(p) + len(q))
     total = size_p + size_q
     if width is None:
         width = total
@@ -183,10 +181,7 @@ def _lr_mult(p: Partition, q: Partition, row_bound: int,
     caller asks for more than the slot holds.  The answer may therefore hold
     constituents wider than `width`, and a caller that passes one drops
     them.  The dict is the slot's own, so callers only read it.  The 2**16
-    slots bound the memo.  One `ladder` operation list of the benchmark
-    fills about 770 and walks each once, unbounded, since each setup runs
-    cb_rank before coinvariant_rank; one `sweep` list fills about 520 with
-    about 560 walks.
+    slots bound the memo.
     """
     slot = _lr_slot(p, q, row_bound)
     full = (p[0] if p else 0) + (q[0] if q else 0)
@@ -233,16 +228,15 @@ def coinvariant_rank(r: int, weights: Sequence[SlWeight]):
 def _coinvariant_rank(r: int, width: int, parts: tuple) -> int:
     """coinvariant_rank of the diagrams `parts`, inside the (r+1) x width box.
 
-    The halves are parts[0::2] and parts[1::2], as in cb._cb_rank; both
-    vectors come from _coinvariant_half's memo, and the pairing loops over
-    the left one.
+    The halves are parts[0::2] and parts[1::2], as in cb._cb_rank; equal
+    halves are multiplied out once, and the pairing loops over the left
+    vector.
     Callers pass the diagrams sorted: the rank is symmetric in the points,
     so the sorted multiset is the cache key, and it does not depend on any
-    level.  The 2**14 entries bound the cache; one `sweep` operation list
-    of 40,000 setups fills about 2,500 and one `ladder` list about 300.
+    level.  The 2**14 entries bound the cache.
     """
     left = _coinvariant_half(r, width, parts[0::2])
-    right = _coinvariant_half(r, width, parts[1::2])
+    right = left if parts[1::2] == parts[0::2] else _coinvariant_half(r, width, parts[1::2])
     rank = 0
     for u, mult in left.items():
         # s_u * s_v reaches the box shape exactly when v is u's complement in it
@@ -250,15 +244,9 @@ def _coinvariant_rank(r: int, width: int, parts: tuple) -> int:
     return rank
 
 
-@lru_cache(maxsize=1 << 14)
 def _coinvariant_half(r: int, width: int, half: tuple) -> dict[Partition, int]:
     """{shape: multiplicity} of the product of the diagrams `half`, inside the
     (r+1) x width box, multiplied left to right; {(): 1} when `half` is empty.
-
-    The memo is keyed by the whole half, so a half that recurs across setups
-    is multiplied out once.  The dict is the cache entry itself, so callers
-    only read it.  The 2**14 entries bound the cache; one `sweep` operation
-    list of the benchmark fills about 2,000, and one `ladder` list about 570.
     """
     # every partial product only grows, so shapes outside the box are dropped:
     # _lr_mult walks inside the box unless its slot already holds a wider

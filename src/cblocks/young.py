@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Sequence
 
-from .errors import DomainError, ParseError
+from .errors import CapacityError, DomainError, ParseError
 
 Partition = tuple
 
@@ -195,9 +195,16 @@ class BlockSetup:
 
 _FUND_TERM = re.compile(r"^(\d*)w(\d+)$")
 
+# a bound on outside input, not a setting (parse_weight)
+_WEIGHT_CELLS = 10**7
+
 
 def parse_weight(text: str, r: int) -> SlWeight:
-    """Parse `2w1+w3`, `[3,1,1]`, or `0` as an sl_{r+1} weight."""
+    """Parse `2w1+w3`, `[3,1,1]`, or `0` as an sl_{r+1} weight.
+
+    A fundamental-weight spelling whose diagram has more than _WEIGHT_CELLS
+    cells raises CapacityError before its rows are built.
+    """
     s = re.sub(r"\s+", "", text)
     if not s:
         raise ParseError("empty weight")
@@ -213,11 +220,19 @@ def parse_weight(text: str, r: int) -> SlWeight:
         m = _FUND_TERM.match(term)
         if not m:
             raise ParseError(f"bad weight term {term!r} in {text!r}")
-        mult = int(m.group(1)) if m.group(1) else 1
-        j = int(m.group(2))
+        try:
+            mult = int(m.group(1)) if m.group(1) else 1
+            j = int(m.group(2))
+        except ValueError:    # more digits than int() converts
+            raise ParseError(f"bad weight term {term!r} in {text!r}") from None
         if not 1 <= j <= r:
             raise ParseError(f"fundamental index {j} out of range 1..{r} in {text!r}")
         coeffs[j] = coeffs.get(j, 0) + mult
+    # m w_j adds m cells to each of rows 1..j
+    cells = sum(j * a for j, a in coeffs.items())
+    if cells > _WEIGHT_CELLS:
+        raise CapacityError(
+            f"weight {text!r} has {cells} cells, more than the bound {_WEIGHT_CELLS}")
     # row i has a_i + ... + a_top cells, top being the largest index written
     rows, tail = [], 0
     for j in range(max(coeffs), 0, -1):

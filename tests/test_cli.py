@@ -157,6 +157,24 @@ def test_bad_weight_exits_1():
     assert "w9" in err
 
 
+@pytest.mark.parametrize("weights", ("9" * 5000 + "w1,w1", "w" + "9" * 5000 + ",w1"))
+def test_a_weight_number_too_long_for_int_exits_1(weights):
+    # int() refuses more than 4,300 digits, in the coefficient or the index
+    code, out, err = invoke("rank", "--r", "2", "--level", "1", "--weights", weights)
+    assert (code, out) == (1, "")
+    assert err.startswith("bad weight term ") and err.count("\n") == 1
+
+
+def test_a_weight_of_too_many_cells_exits_2_before_building_it():
+    # w999999999 has 10^9 one-cell rows; they are counted, not built
+    started = time.perf_counter()
+    code, out, err = invoke("rank", "--r", "999999999", "--level", "1",
+                            "--weights", "w999999999")
+    assert time.perf_counter() - started < 0.5
+    assert (code, out) == (2, "")
+    assert err == "weight 'w999999999' has 999999999 cells, more than the bound 10000000\n"
+
+
 @pytest.mark.parametrize("literal", ("[3,1", "[a]", "[1,2]", "[1,1,1,1]"))
 def test_bad_partition_literal_exits_1(literal):
     code, out, err = invoke("rank", "--r", "2", "--level", "3", "--weights", f"w1,{literal}")

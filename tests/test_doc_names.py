@@ -1,14 +1,19 @@
 """Every private name the package's prose cites, and every module-qualified
-name the README cites, is one the package defines.
+name the README cites, is one the package defines; and the package's prose
+names no benchmark workload.
 
 A renamed or deleted helper otherwise lives on in the docstrings and in the
-README, where nothing runs it.  Like test_trace_layers.py, this parses the
-sources and imports nothing from perfbench.
+README, where nothing runs it.  A count of what one benchmark list puts in
+a cache goes stale with every change to the code or the workload, so such
+counts live in CHANGES.md and the BENCH_*.json files, not in the package.
+Like test_trace_layers.py, this parses the sources and imports nothing from
+perfbench.
 """
 
 import ast
 import importlib
 import io
+import json
 import re
 import tokenize
 from pathlib import Path
@@ -62,3 +67,12 @@ def test_every_module_name_in_the_readme_is_defined():
     stale = sorted(f"{module}.{name}" for module, name in cited
                    if not hasattr(importlib.import_module(f"cblocks.{module}"), name))
     assert not stale, f"cited in README.md but not defined: {stale}"
+
+
+def test_the_prose_names_no_benchmark_workload():
+    workloads = {w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]}
+    assert workloads
+    cited = sorted({(path.stem, name) for path in sorted(SRC.glob("*.py"))
+                    for text in _prose(path.read_text())
+                    for name in re.findall(r"`([^`]+)`", text) if name in workloads})
+    assert not cited, f"a docstring or comment names a benchmark workload: {cited}"

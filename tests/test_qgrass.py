@@ -11,6 +11,7 @@ from cblocks.errors import ConsistencyError, DomainError
 from cblocks.qgrass import (
     GrassmannBox,
     QClass,
+    _dual,
     _orbit,
     _orbit_mult,
     _rotate,
@@ -19,7 +20,7 @@ from cblocks.qgrass import (
     rim_hook_reduce,
 )
 from cblocks.schur import _lr_mult
-from cblocks.young import BlockSetup, SlWeight, conjugate, partition, row
+from cblocks.young import BlockSetup, SlWeight, box_complement, conjugate, partition, row
 from strategies import boxed_partitions
 from test_cli import golden_argv, invoke
 
@@ -305,6 +306,20 @@ def test_rotation_laws():
                 assert 0 <= a < n and e >= 0
                 assert _turn_by_steps(p0, box)[a] == (lam, e)
                 assert _orbit(p0, box) == (p0, 0, 0)
+
+
+def test_the_poincare_dual_is_the_box_complement():
+    # the dual class of sigma_u has the beta numbers n - 1 - b of u's betas
+    # b, and its shape is u's complement in the k x (n-k) box
+    for n in range(2, 9):
+        for k in range(1, min(3, n - 1) + 1):
+            box = GrassmannBox(k, n)
+            for u in _box_shapes(k, n - k):
+                betas = [row(u, a) + k - a for a in range(1, k + 1)]
+                dual = sorted((n - 1 - b for b in betas), reverse=True)
+                expected = partition(dual[a - 1] - (k - a) for a in range(1, k + 1))
+                assert _dual(u, box) == expected
+                assert box_complement(u, k, n - k) == expected
 
 
 def test_products_expand_only_orbit_representatives():

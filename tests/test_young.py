@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cblocks.errors import DomainError, ParseError
+from cblocks.errors import CapacityError, DomainError, ParseError
 from cblocks.young import (
     BlockSetup,
     SlWeight,
@@ -83,6 +83,15 @@ def test_parsing_and_printing_work_in_the_size_of_the_diagram():
         tracemalloc.stop()
     assert (w.parts, text) == ((1,), "w1")
     assert peak < 1 << 20
+
+
+def test_parse_weight_counts_cells_before_building_rows():
+    # m w_j is j rows of m cells; up to 10**7 cells in all are built
+    assert parse_weight("10000000w1", 1).parts == (10**7,)
+    assert parse_weight("4000000w1+3000000w2", 2).parts == (7 * 10**6, 3 * 10**6)
+    for text, r in (("10000001w1", 1), ("3333334w3", 3), ("w1+w10000000", 10**9)):
+        with pytest.raises(CapacityError):
+            parse_weight(text, r)
 
 
 def test_transpose_examples():
