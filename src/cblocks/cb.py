@@ -28,15 +28,19 @@ Two independent rank algorithms are kept deliberately separate:
   right mu* only when r+1 divides the whole total, so cb_rank returns 0
   without contracting when it does not, which is when the setup's critical
   level is None.  Otherwise it reads a bounded memo (_cb_rank) keyed on
-  (r, level, sorted diagrams): the rank is symmetric in the points, so
-  every ordering of a multiset shares one entry.  The memo deals the
-  sorted diagrams alternately into the two halves and contracts each in
-  ascending order, so neither half carries most of the cells and builds a
-  wide vector.  Its classical products are unbounded, and they fill the LR
-  memo's slots (schur._lr_mult); where both routes run, as in
-  vanishing_report, the fusion route runs first, so the classical route
-  reads those products and drops what lies outside its box instead of
-  walking boxed copies.
+  (r, level, sorted non-empty diagrams): the rank is symmetric in the
+  points, so every ordering of a multiset shares one entry, and by
+  propagation of vacua a point carrying the trivial weight changes no rank
+  (V_0 is the unit of the fusion ring), so the key leaves such points out
+  and every setup that differs from another only by them shares its entry.
+  The key is () when every weight is trivial, and the rank is then 1.
+  The memo deals the sorted diagrams alternately into the two halves and
+  contracts each in ascending order, so neither half carries most of the
+  cells and builds a wide vector.  Its classical products are unbounded,
+  and they fill the LR memo's slots (schur._lr_mult); where both routes
+  run, as in vanishing_report, the fusion route runs first, so the
+  classical route reads those products and drops what lies outside its box
+  instead of walking boxed copies.
 
 * witten_rank evaluates one big quantum Schubert product on Gr(r+1, r+1+l)
   and reads off a single coefficient.  It passes that box as it is;
@@ -51,9 +55,11 @@ tautology.  On three points the split is one fusion coefficient read off by
 alcove reflections against one Gromov-Witten number.
 
 The critical level and first-row sum come from BlockSetup's own pass over
-the weights.  VanishingReport.check_rank is the one check that a bundle
-rank equals the classical rank above either bound.  Each route makes it on
-its own answer, vanishing_report on the fusion rank and witten_rank on the
+the weights.  The classical memo (schur._coinvariant_rank) leaves the
+trivial weights out of its key too, since V_0 is also the trivial sl_{r+1}
+module.  VanishingReport.check_rank is the one check that a bundle rank
+equals the classical rank above either bound.  Each route makes it on its
+own answer, vanishing_report on the fusion rank and witten_rank on the
 quantum rank, so no caller builds a report to check a rank.
 """
 
@@ -179,11 +185,14 @@ def cb_rank(setup: BlockSetup):
     left[mu] * right[mu*].
 
     When r+1 does not divide the total size no left mu meets a right mu*
-    (module docstring), so the rank is 0 without contracting.
+    (module docstring), so the rank is 0 without contracting.  Otherwise the
+    memo key is the sorted non-empty diagrams: a trivial weight changes no
+    rank (propagation of vacua), so it is left out.
     """
     if setup.critical_level is None:
         return 0
-    return _cb_rank(setup.r, setup.level, tuple(sorted([w.parts for w in setup.weights])))
+    key = tuple(sorted([w.parts for w in setup.weights if w.parts]))
+    return _cb_rank(setup.r, setup.level, key)
 
 
 @lru_cache(maxsize=1 << 14)
@@ -191,9 +200,12 @@ def _cb_rank(r: int, level: int, parts: tuple) -> int:
     """cb_rank of the diagrams `parts`: the halves parts[0::2] and
     parts[1::2], each contracted in the order given.
 
-    Callers pass the diagrams sorted: the rank is symmetric in the points,
-    so (r, level, sorted multiset) is the cache key, and each half is then
-    ascending with about half the cells.  Both half vectors come from
+    Callers pass the sorted non-empty diagrams: the rank is symmetric in the
+    points, so (r, level, sorted multiset) is the cache key, and each half
+    is then ascending with about half the cells.  A trivial weight changes
+    no rank (propagation of vacua), so leaving it out loses nothing, and
+    () gives 1.  An empty diagram in `parts` still gives the right rank, as
+    the fusion unit, but splits the memo.  Both half vectors come from
     _fuse's memo, and the pairing loops over the left one.
     The 2**14 entries bound the cache.
     """
@@ -273,20 +285,23 @@ def vanishing_report(setup: BlockSetup) -> VanishingReport:
     Above either threshold the two ranks must agree; a disagreement raises
     ConsistencyError instead of being reported.  When r+1 does not divide the
     total size both ranks are 0 (the docstrings of coinvariant_rank and
-    cb_rank), and neither route is called.  The fusion route runs first, so
-    the classical route finds its LR products in the memo and filters them
-    to its box instead of walking boxed copies (schur._lr_mult).
+    cb_rank), so neither route is called and no check is made.  Both routes
+    key their memos on the sorted non-empty diagrams (trivial weights change
+    no rank: propagation of vacua), so setups that differ only by trivial
+    points share one entry of each.  The fusion route runs first, so the
+    classical route finds its LR products in the memo and filters them to
+    its box instead of walking boxed copies (schur._lr_mult).
     """
     rep = VanishingReport(setup)
     if rep.critical_level is None:
-        rank_a = rank_v = 0
-    else:
-        rank_v = cb_rank(setup)
-        rank_a = coinvariant_rank(setup.r, setup.weights)
+        # both ranks are 0, so they agree and there is nothing to check
+        rep.rank_classical = rep.rank_cb = 0
+        rep.ranks_equal = True
+        return rep
+    rank_v = cb_rank(setup)
+    rank_a = coinvariant_rank(setup.r, setup.weights)
     rep.check_rank(rank_a, rank_v, "conformal blocks")
-    rep.rank_classical = rank_a
-    rep.rank_cb = rank_v
-    rep.ranks_equal = rank_a == rank_v
+    rep.rank_classical, rep.rank_cb, rep.ranks_equal = rank_a, rank_v, rank_a == rank_v
     return rep
 
 
@@ -342,7 +357,8 @@ def factorization_rank(setup: BlockSetup, subset) -> int:
     if idx[0] < 1 or idx[-1] > len(setup.weights):
         raise DomainError(f"subset {idx} out of range 1..{len(setup.weights)}")
     inside = tuple(setup.weights[i - 1] for i in idx)
-    outside = tuple(w for i, w in enumerate(setup.weights, start=1) if i not in set(idx))
+    chosen = set(idx)
+    outside = tuple(w for i, w in enumerate(setup.weights, start=1) if i not in chosen)
     total = 0
     for mu in level_weights(setup.r, setup.level):
         left = cb_rank(BlockSetup(setup.r, setup.level, inside + (mu,)))

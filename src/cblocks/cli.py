@@ -47,20 +47,23 @@ def _cmd_rank(ns):
     from .schur import coinvariant_rank
 
     setup, params = _weights_and_echo(ns)
+    # the fusion route's report checks its rank and carries the classical rank
+    rep = None if ns.classical or ns.method == "witten" else vanishing_report(setup)
     results = {}
     if ns.classical:
         params["classical"] = "true"
     else:
         # each route checks its rank against the classical rank above either bound
         params["method"] = ns.method
-        if ns.method in ("fusion", "both"):
-            results["rank_cb"] = str(vanishing_report(setup).rank_cb)
+        if rep is not None:
+            results["rank_cb"] = str(rep.rank_cb)
         if ns.method in ("witten", "both"):
             results["rank_witten"] = str(witten_rank(setup))
         fusion, witten = results.get("rank_cb"), results.get("rank_witten")
         if ns.method == "both" and fusion != witten:
             raise ConsistencyError(f"rank routes disagree: fusion {fusion} != witten {witten}")
-    results["rank_classical"] = str(coinvariant_rank(setup.r, setup.weights))
+    classical = coinvariant_rank(setup.r, setup.weights) if rep is None else rep.rank_classical
+    results["rank_classical"] = str(classical)
     return params, results
 
 

@@ -57,13 +57,17 @@ the unbounded product and the classical route walks nothing.
 Each half is multiplied out by _coinvariant_half, which reads its LR
 products from the slots; when the two halves are equal, one vector serves
 both.  The pairing loops over the left vector.
-coinvariant_rank checks every rank, sums the sizes and finds the longest
-first row in one pass over the weights, takes its early returns, then reads
-a bounded memo (_coinvariant_rank) keyed on r, the box width and the sorted
-diagrams.
-That key is sound because the rank is symmetric in the points and the
-classical rank does not depend on any level, so one entry serves every
-ordering of a multiset, at every level.
+coinvariant_rank checks every rank and sums the sizes in one pass over the
+weights, returns 0 when r+1 does not divide the total, then reads a bounded
+memo (_coinvariant_rank) keyed on r, the box width and the sorted non-empty
+diagrams (the key of cb._cb_rank too).  The memo returns 0 when a first
+row is longer than the box is wide, so that check runs once per key, on a
+miss, and not on every call.
+That key is sound because the rank is symmetric in the points, the
+classical rank does not depend on any level, and a trivial weight changes
+no rank (propagation of vacua: V_0 is the trivial sl_{r+1} module, the
+unit of the tensor product), so one entry serves every ordering of a
+multiset, at every level, with any number of trivial weights.
 invariant_oracle recomputes the rank by a deliberately different route
 (weight-multiplicity convolution followed by a Weyl alternating sum) and
 exists so the two can be played against each other.
@@ -201,27 +205,25 @@ def coinvariant_rank(r: int, weights: Sequence[SlWeight]):
     """Rank of the sl_{r+1} coinvariant space of the tensor product.
 
     Degenerate inputs (total size not divisible by r+1, or some first row too
-    long to fit the forced box) give 0, not an error.
+    long to fit the forced box) give 0, not an error.  The memo key is the
+    sorted non-empty diagrams: a trivial weight changes no rank
+    (propagation of vacua), so it is left out.
     """
-    # one pass over the weights checks each rank, sums the sizes and finds the
-    # longest first row; a wrong rank anywhere raises before any early return
+    # one pass over the weights checks each rank, sums the sizes and keeps the
+    # non-empty diagrams, the memo key cb.cb_rank builds too; a wrong rank
+    # anywhere raises before the early return
     parts = []
-    total = top = 0
+    total = 0
     for w in weights:
         if w.rank != r:
             raise DomainError(f"weight {w} is not an sl_{r + 1} weight")
         p = w.parts
         if p:
             total += sum(p)
-            if p[0] > top:
-                top = p[0]
-        parts.append(p)
+            parts.append(p)
     if total % (r + 1):
         return 0
-    width = total // (r + 1)
-    if top > width:
-        return 0
-    return _coinvariant_rank(r, width, tuple(sorted(parts)))
+    return _coinvariant_rank(r, total // (r + 1), tuple(sorted(parts)))
 
 
 @lru_cache(maxsize=1 << 14)
@@ -231,10 +233,15 @@ def _coinvariant_rank(r: int, width: int, parts: tuple) -> int:
     The halves are parts[0::2] and parts[1::2], as in cb._cb_rank; equal
     halves are multiplied out once, and the pairing loops over the left
     vector.
-    Callers pass the diagrams sorted: the rank is symmetric in the points,
-    so the sorted multiset is the cache key, and it does not depend on any
-    level.  The 2**14 entries bound the cache.
+    Callers pass the sorted non-empty diagrams: the rank is symmetric in the
+    points, so the sorted multiset is the cache key, it does not depend on
+    any level, and a trivial weight changes no rank (propagation of vacua),
+    so leaving it out loses nothing; () gives 1.  The memo owns the return
+    of 0 when a first row is longer than the box is wide, so the check runs
+    on a miss only.  The 2**14 entries bound the cache.
     """
+    if max((p[0] for p in parts if p), default=0) > width:
+        return 0
     left = _coinvariant_half(r, width, parts[0::2])
     right = left if parts[1::2] == parts[0::2] else _coinvariant_half(r, width, parts[1::2])
     rank = 0

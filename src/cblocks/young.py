@@ -130,7 +130,7 @@ def box_complement(p: Partition, rows: int, width: int) -> Partition:
     """
     if not width:
         return ()
-    return (width,) * (rows - len(p)) + tuple(width - x for x in reversed(p) if x < width)
+    return (width,) * (rows - len(p)) + tuple([width - x for x in reversed(p) if x < width])
 
 
 def dual_parts(mu: Partition, r: int) -> Partition:

@@ -300,15 +300,17 @@ def _six_point_setups(seed=22, count=30):
 
 def test_the_split_walks_a_pinned_number_of_lr_products(monkeypatch):
     # a count, not a time: dealing the sorted diagrams alternately into the two
-    # halves walks 245 products here, where the smallest n // 2 against the
+    # halves walks 240 products here, where the smallest n // 2 against the
     # rest largest-first walked 376; the classical route then reads every
-    # product it needs from the fusion route's slots and walks none
+    # product it needs from the fusion route's slots and walks none.  It was
+    # 245 while trivial weights were points of the halves: five of these
+    # setups carry one or two, and the rank memos' keys now leave them out
     setups = _six_point_setups()
     assert all(s.level == s.critical_level + 1 for s in setups)
     _cold_ranks()
     walks = _count_walks(monkeypatch)
     ranks = [cb_rank(s) for s in setups]
-    assert len(walks) == 245
+    assert len(walks) == 240
     del walks[:]
     assert [coinvariant_rank(s.r, s.weights) for s in setups] == ranks
     assert walks == []
