@@ -81,6 +81,13 @@ def main(argv=None):
         parser.add_argument("--" + f.name.replace("_", "-"), type=f.type, default=f.default,
                             help=f.metadata.get("help"))
     cfg = SearchConfig(**vars(parser.parse_args(argv)))
+    # random_setup draws from these ranges; an empty one would end in randint
+    for name, low in (("max_rank", 1), ("max_level", 1), ("max_size", 0),
+                      ("samples", 0), ("min_points", 0), ("show", 0)):
+        if getattr(cfg, name) < low:
+            parser.error(f"--{name.replace('_', '-')} must be at least {low}")
+    if cfg.min_points > cfg.max_points:
+        parser.error(f"--min-points {cfg.min_points} exceeds --max-points {cfg.max_points}")
 
     rng = random.Random(cfg.seed)
     explained = below_and_equal = below_and_strict = 0

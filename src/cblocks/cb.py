@@ -28,19 +28,14 @@ Two independent rank algorithms are kept deliberately separate:
   right mu* only when r+1 divides the whole total, so cb_rank returns 0
   without contracting when it does not, which is when the setup's critical
   level is None.  Otherwise it reads a bounded memo (_cb_rank) keyed on
-  (r, level, sorted non-empty diagrams): the rank is symmetric in the
-  points, so every ordering of a multiset shares one entry, and by
-  propagation of vacua a point carrying the trivial weight changes no rank
-  (V_0 is the unit of the fusion ring), so the key leaves such points out
-  and every setup that differs from another only by them shares its entry.
-  The key is () when every weight is trivial, and the rank is then 1.
-  The memo deals the sorted diagrams alternately into the two halves and
-  contracts each in ascending order, so neither half carries most of the
-  cells and builds a wide vector.  Its classical products are unbounded,
-  and they fill the LR memo's slots (schur._lr_mult); where both routes
-  run, as in vanishing_report, the fusion route runs first, so the
-  classical route reads those products and drops what lies outside its box
-  instead of walking boxed copies.
+  r, the level and young.rank_key of the weights.  The memo deals the
+  sorted diagrams alternately into the two halves and contracts each in
+  ascending order, so neither half carries most of the cells and builds a
+  wide vector.  Its classical products are unbounded, and they fill the
+  LR memo's slots (schur._lr_mult); where both routes run, as in
+  vanishing_report, the fusion route runs first, so the classical route
+  reads those products and drops what lies outside its box instead of
+  walking boxed copies.
 
 * witten_rank evaluates one big quantum Schubert product on Gr(r+1, r+1+l)
   and reads off a single coefficient.  It passes that box as it is;
@@ -55,12 +50,11 @@ tautology.  On three points the split is one fusion coefficient read off by
 alcove reflections against one Gromov-Witten number.
 
 The critical level and first-row sum come from BlockSetup's own pass over
-the weights.  The classical memo (schur._coinvariant_rank) leaves the
-trivial weights out of its key too, since V_0 is also the trivial sl_{r+1}
-module.  VanishingReport.check_rank is the one check that a bundle rank
-equals the classical rank above either bound.  Each route makes it on its
-own answer, vanishing_report on the fusion rank and witten_rank on the
-quantum rank, so no caller builds a report to check a rank.
+the weights.  The classical memo (schur._coinvariant_rank) reads the same
+young.rank_key.  VanishingReport.check_rank is the one check that a bundle
+rank equals the classical rank above either bound.  Each route makes it
+on its own answer, vanishing_report on the fusion rank and witten_rank on
+the quantum rank, so no caller builds a report to check a rank.
 """
 
 from __future__ import annotations
@@ -72,7 +66,7 @@ from itertools import combinations_with_replacement
 
 from .errors import ConsistencyError, DomainError
 from .schur import _lr_mult, coinvariant_rank
-from .young import BlockSetup, Partition, SlWeight, dual_parts, dual_star, transpose
+from .young import BlockSetup, Partition, SlWeight, dual_parts, dual_star, rank_key, transpose
 
 
 def level_weights(r: int, level: int) -> tuple:
@@ -186,13 +180,11 @@ def cb_rank(setup: BlockSetup):
 
     When r+1 does not divide the total size no left mu meets a right mu*
     (module docstring), so the rank is 0 without contracting.  Otherwise the
-    memo key is the sorted non-empty diagrams: a trivial weight changes no
-    rank (propagation of vacua), so it is left out.
+    memo key is rank_key of the weights.
     """
     if setup.critical_level is None:
         return 0
-    key = tuple(sorted([w.parts for w in setup.weights if w.parts]))
-    return _cb_rank(setup.r, setup.level, key)
+    return _cb_rank(setup.r, setup.level, rank_key(setup.weights))
 
 
 @lru_cache(maxsize=1 << 14)
@@ -200,14 +192,11 @@ def _cb_rank(r: int, level: int, parts: tuple) -> int:
     """cb_rank of the diagrams `parts`: the halves parts[0::2] and
     parts[1::2], each contracted in the order given.
 
-    Callers pass the sorted non-empty diagrams: the rank is symmetric in the
-    points, so (r, level, sorted multiset) is the cache key, and each half
-    is then ascending with about half the cells.  A trivial weight changes
-    no rank (propagation of vacua), so leaving it out loses nothing, and
-    () gives 1.  An empty diagram in `parts` still gives the right rank, as
-    the fusion unit, but splits the memo.  Both half vectors come from
-    _fuse's memo, and the pairing loops over the left one.
-    The 2**14 entries bound the cache.
+    Callers pass rank_key of the weights, so each half is ascending with
+    about half the cells, and () gives 1.  An empty diagram in `parts` still
+    gives the right rank, as the fusion unit, but splits the memo.  Both
+    half vectors come from _fuse's memo, and the pairing loops over the left
+    one.  The 2**14 entries bound the cache.
     """
     left = _fuse(r, level, parts[0::2])
     right = _fuse(r, level, parts[1::2])
@@ -286,11 +275,10 @@ def vanishing_report(setup: BlockSetup) -> VanishingReport:
     ConsistencyError instead of being reported.  When r+1 does not divide the
     total size both ranks are 0 (the docstrings of coinvariant_rank and
     cb_rank), so neither route is called and no check is made.  Both routes
-    key their memos on the sorted non-empty diagrams (trivial weights change
-    no rank: propagation of vacua), so setups that differ only by trivial
-    points share one entry of each.  The fusion route runs first, so the
-    classical route finds its LR products in the memo and filters them to
-    its box instead of walking boxed copies (schur._lr_mult).
+    key their memos on rank_key of the weights.  The fusion route runs
+    first, so the classical route finds its LR products in the memo and
+    filters them to its box instead of walking boxed copies
+    (schur._lr_mult).
     """
     rep = VanishingReport(setup)
     if rep.critical_level is None:

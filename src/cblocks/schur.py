@@ -57,17 +57,12 @@ the unbounded product and the classical route walks nothing.
 Each half is multiplied out by _coinvariant_half, which reads its LR
 products from the slots; when the two halves are equal, one vector serves
 both.  The pairing loops over the left vector.
-coinvariant_rank checks every rank and sums the sizes in one pass over the
-weights, returns 0 when r+1 does not divide the total, then reads a bounded
-memo (_coinvariant_rank) keyed on r, the box width and the sorted non-empty
-diagrams (the key of cb._cb_rank too).  The memo returns 0 when a first
-row is longer than the box is wide, so that check runs once per key, on a
-miss, and not on every call.
-That key is sound because the rank is symmetric in the points, the
-classical rank does not depend on any level, and a trivial weight changes
-no rank (propagation of vacua: V_0 is the trivial sl_{r+1} module, the
-unit of the tensor product), so one entry serves every ordering of a
-multiset, at every level, with any number of trivial weights.
+coinvariant_rank checks every weight's rank, then reads a bounded memo
+(_coinvariant_rank) keyed on r and young.rank_key of the weights, the key
+of cb._cb_rank too; the classical rank depends on no level, so one entry
+serves every level.  On a miss the memo reads the box width off the key's
+total size, and returns 0 when r+1 does not divide that size or a first
+row is longer than the box is wide, so those checks run once per key.
 invariant_oracle recomputes the rank by a deliberately different route
 (weight-multiplicity convolution followed by a Weyl alternating sum) and
 exists so the two can be played against each other.
@@ -81,7 +76,7 @@ from itertools import accumulate, permutations
 from collections.abc import Sequence
 
 from .errors import CapacityError, DomainError
-from .young import Partition, SlWeight, box_complement, partition, row
+from .young import Partition, SlWeight, box_complement, partition, rank_key, row
 
 
 def _lr_walk(p: Partition, q: Partition, row_bound: int,
@@ -146,21 +141,27 @@ def _lr_walk(p: Partition, q: Partition, row_bound: int,
         counts[j] = 0
         grown[j] = old
 
-    for letter, m in enumerate(q, 1):
-        last = letter == len(q)
-        nxt = {}
-        for (shape, prev), mult in states.items():
-            if slack + sum(prev[:-1]) < m:    # the ballot limit leaves too little room
-                continue
-            # row 0 may grow to the width and row j to the old row above it;
-            # suffix[j] is what rows j.. can hold, to cut a branch that cannot finish
-            caps = [a - s for a, s in zip((width,) + shape, shape)]
-            suffix = list(accumulate(reversed(caps), initial=0))[::-1]
-            if suffix[0] >= m:
-                grown[:] = shape
-                place(0, m, slack)
-        states = nxt
-        slack = 0
+    try:
+        for letter, m in enumerate(q, 1):
+            last = letter == len(q)
+            nxt = {}
+            for (shape, prev), mult in states.items():
+                if slack + sum(prev[:-1]) < m:    # the ballot limit leaves too little room
+                    continue
+                # row 0 may grow to the width and row j to the old row above it;
+                # suffix[j] is what rows j.. can hold, to cut a branch that cannot finish
+                caps = [a - s for a, s in zip((width,) + shape, shape)]
+                suffix = list(accumulate(reversed(caps), initial=0))[::-1]
+                if suffix[0] >= m:
+                    grown[:] = shape
+                    place(0, m, slack)
+            states = nxt
+            slack = 0
+    except RecursionError:
+        # place recurses once per row that can grow; the recursion limit is a
+        # setting of the whole process, so it is not raised here
+        raise CapacityError(
+            f"a Littlewood-Richardson product of {rows} rows recurses too deep") from None
     # a shape's zeros are its trailing rows: one slice drops them all
     return {shape[:len(shape) - shape.count(0)]: mult for shape, mult in states.items()}
 
@@ -205,42 +206,30 @@ def coinvariant_rank(r: int, weights: Sequence[SlWeight]):
     """Rank of the sl_{r+1} coinvariant space of the tensor product.
 
     Degenerate inputs (total size not divisible by r+1, or some first row too
-    long to fit the forced box) give 0, not an error.  The memo key is the
-    sorted non-empty diagrams: a trivial weight changes no rank
-    (propagation of vacua), so it is left out.
+    long to fit the forced box) give 0, not an error.  Every weight's rank
+    is checked, a trivial weight's too; the memo key is rank_key of the
+    weights.
     """
-    # one pass over the weights checks each rank, sums the sizes and keeps the
-    # non-empty diagrams, the memo key cb.cb_rank builds too; a wrong rank
-    # anywhere raises before the early return
-    parts = []
-    total = 0
     for w in weights:
         if w.rank != r:
             raise DomainError(f"weight {w} is not an sl_{r + 1} weight")
-        p = w.parts
-        if p:
-            total += sum(p)
-            parts.append(p)
-    if total % (r + 1):
-        return 0
-    return _coinvariant_rank(r, total // (r + 1), tuple(sorted(parts)))
+    return _coinvariant_rank(r, rank_key(weights))
 
 
 @lru_cache(maxsize=1 << 14)
-def _coinvariant_rank(r: int, width: int, parts: tuple) -> int:
-    """coinvariant_rank of the diagrams `parts`, inside the (r+1) x width box.
+def _coinvariant_rank(r: int, parts: tuple) -> int:
+    """coinvariant_rank of the diagrams `parts`, inside the (r+1) x width box,
+    width being their total size over r+1.
 
     The halves are parts[0::2] and parts[1::2], as in cb._cb_rank; equal
     halves are multiplied out once, and the pairing loops over the left
-    vector.
-    Callers pass the sorted non-empty diagrams: the rank is symmetric in the
-    points, so the sorted multiset is the cache key, it does not depend on
-    any level, and a trivial weight changes no rank (propagation of vacua),
-    so leaving it out loses nothing; () gives 1.  The memo owns the return
-    of 0 when a first row is longer than the box is wide, so the check runs
-    on a miss only.  The 2**14 entries bound the cache.
+    vector.  Callers pass rank_key of the weights, and () gives 1.  The memo
+    owns the returns of 0, when r+1 does not divide the total size or a
+    first row is longer than the box is wide, so those checks run on a miss
+    only.  The 2**14 entries bound the cache.
     """
-    if max((p[0] for p in parts if p), default=0) > width:
+    width, rest = divmod(sum(map(sum, parts)), r + 1)
+    if rest or max((p[0] for p in parts if p), default=0) > width:
         return 0
     left = _coinvariant_half(r, width, parts[0::2])
     right = left if parts[1::2] == parts[0::2] else _coinvariant_half(r, width, parts[1::2])

@@ -7,18 +7,20 @@ empty.  All derived notions (theta pairing, duals, transposes) are defined
 on that canonical data.  BlockSetup is the one check of an (r, level,
 weights) triple; every function that works on a bundle takes one.  The
 pass that checks its weights also tallies the two numbers the vanishing
-bounds are made of: the critical level and the first-row sum.
+bounds are made of: the critical level and the first-row sum.  rank_key
+is the one key both rank memos read a setup's weights by.
 
 Weights parse and print in the size of their diagram, not of r: a term
 m w_j of `2w1+w3` adds m cells to each of rows 1..j, so the diagram grows
-only as far as the largest j written, and weight_text reads the
-coefficient a_j back as row j minus row j+1.
+only as far as the largest j written with m > 0, and weight_text reads
+the coefficient a_j back as row j minus row j+1.
 """
 
 from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Sequence
+from itertools import accumulate
 
 from .errors import CapacityError, DomainError, ParseError
 
@@ -143,6 +145,20 @@ def dual_star(w: SlWeight) -> SlWeight:
     return SlWeight(w.rank, dual_parts(w.parts, w.rank))
 
 
+def rank_key(weights: Iterable[SlWeight]) -> tuple:
+    """The sorted non-empty diagrams of `weights`: the one key of both rank
+    memos, cb._cb_rank and schur._coinvariant_rank; () when every weight is
+    trivial.
+
+    A rank is symmetric in the points, so one sorted multiset serves every
+    ordering.  A trivial weight changes no rank (propagation of vacua): V_0
+    is the unit of the fusion ring and the trivial sl_{r+1} module, so the
+    key leaves it out, and setups that differ only by trivial points share
+    one entry of each memo, at every number of them.
+    """
+    return tuple(sorted([w.parts for w in weights if w.parts]))
+
+
 class BlockSetup:
     """One bundle: algebra sl_{r+1}, level, and a tuple of alcove weights.
 
@@ -199,11 +215,18 @@ _FUND_TERM = re.compile(r"^(\d*)w(\d+)$")
 _WEIGHT_CELLS = 10**7
 
 
+def _check_cells(text: str, cells: int) -> None:
+    """Raise CapacityError when the weight `text` has more than _WEIGHT_CELLS cells."""
+    if cells > _WEIGHT_CELLS:
+        raise CapacityError(
+            f"weight {text!r} has {cells} cells, more than the bound {_WEIGHT_CELLS}")
+
+
 def parse_weight(text: str, r: int) -> SlWeight:
     """Parse `2w1+w3`, `[3,1,1]`, or `0` as an sl_{r+1} weight.
 
-    A fundamental-weight spelling whose diagram has more than _WEIGHT_CELLS
-    cells raises CapacityError before its rows are built.
+    A weight in either spelling whose diagram has more than _WEIGHT_CELLS
+    cells raises CapacityError before its weight is built.
     """
     s = re.sub(r"\s+", "", text)
     if not s:
@@ -211,8 +234,10 @@ def parse_weight(text: str, r: int) -> SlWeight:
     if s == "0":
         return SlWeight(r, ())
     if s.startswith("["):
+        parts = parse_partition(text)
+        _check_cells(text, sum(parts))
         try:
-            return SlWeight(r, parse_partition(text))
+            return SlWeight(r, parts)
         except DomainError as e:
             raise ParseError(str(e)) from None
     coeffs = {}
@@ -229,16 +254,12 @@ def parse_weight(text: str, r: int) -> SlWeight:
             raise ParseError(f"fundamental index {j} out of range 1..{r} in {text!r}")
         coeffs[j] = coeffs.get(j, 0) + mult
     # m w_j adds m cells to each of rows 1..j
-    cells = sum(j * a for j, a in coeffs.items())
-    if cells > _WEIGHT_CELLS:
-        raise CapacityError(
-            f"weight {text!r} has {cells} cells, more than the bound {_WEIGHT_CELLS}")
-    # row i has a_i + ... + a_top cells, top being the largest index written
-    rows, tail = [], 0
-    for j in range(max(coeffs), 0, -1):
-        tail += coeffs.get(j, 0)
-        rows.append(tail)
-    return SlWeight(r, rows[::-1])
+    _check_cells(text, sum(j * a for j, a in coeffs.items()))
+    # row i has a_i + ... + a_top cells, top being the largest index with a
+    # non-zero coefficient: a term 0 w_j adds no cell and no row
+    top = max([j for j, a in coeffs.items() if a], default=0)
+    rows = accumulate(coeffs.get(j, 0) for j in range(top, 0, -1))
+    return SlWeight(r, list(rows)[::-1])
 
 
 def parse_partition(text: str) -> Partition:

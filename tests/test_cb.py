@@ -468,7 +468,7 @@ def test_rank_memos_answer_the_callers_order(rlw, rng):
     if width is None:
         assert coinvariant_rank(r, ws) == 0
     else:
-        assert coinvariant_rank(r, ws) == _coinvariant_rank.__wrapped__(r, width, parts)
+        assert coinvariant_rank(r, ws) == _coinvariant_rank.__wrapped__(r, parts)
 
 
 def test_indivisible_totals_rank_zero_on_both_routes():

@@ -175,6 +175,39 @@ def test_a_weight_of_too_many_cells_exits_2_before_building_it():
     assert err == "weight 'w999999999' has 999999999 cells, more than the bound 10000000\n"
 
 
+@pytest.mark.parametrize("argv", (
+    ("rank", "--r", "1", "--level", "10000001", "--weights", "[10000001],[10000001]"),
+    # its transpose partner would build 10^9 one-cell rows
+    ("partner", "--force", "--r", "1", "--level", "1000000000",
+     "--weights", "[1000000000],[1000000000]"),
+))
+def test_a_bracketed_weight_of_too_many_cells_exits_2(argv):
+    started = time.perf_counter()
+    code, out, err = invoke(*argv)
+    assert time.perf_counter() - started < 0.5
+    assert (code, out) == (2, "")
+    cells = argv[-1].split(",")[0]
+    assert err == f"weight '{cells}' has {cells[1:-1]} cells, more than the bound 10000000\n"
+
+
+def test_a_bracketed_weight_at_the_cell_bound_is_accepted():
+    code, out, err = invoke("rank", "--r", "1", "--level", "10000000",
+                            "--weights", "[10000000],[10000000]")
+    assert (code, err) == (0, "")
+    assert out.startswith("rank --r 1 --level 10000000 --weights 10000000w1,10000000w1 ")
+    assert "rank_cb         1\n" in out
+
+
+def test_a_product_deeper_than_the_recursion_limit_exits_2():
+    # the LR kernel recurses once per row that can grow: the staircase
+    # times w1 grows each of its 1200 rows
+    staircase = "[" + ",".join(str(i) for i in range(1200, 0, -1)) + "]"
+    code, out, err = invoke("rank", "--r", "1200", "--level", "1200",
+                            "--weights", f"{staircase},w1,w1200")
+    assert (code, out) == (2, "")
+    assert err.startswith("a Littlewood-Richardson product of ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("literal", ("[3,1", "[a]", "[1,2]", "[1,1,1,1]"))
 def test_bad_partition_literal_exits_1(literal):
     code, out, err = invoke("rank", "--r", "2", "--level", "3", "--weights", f"w1,{literal}")

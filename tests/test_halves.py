@@ -1,5 +1,11 @@
 """The half vectors of both rank routes against their plain loops, and the
-classical route's one vector for two equal halves."""
+classical route's one vector for two equal halves.
+
+The plain loops (reference.py) take a plainer route than the package: the
+fusion loop asks every product at the full level in the order given, and
+the classical loop multiplies whole shapes with the uncached LR kernel.
+So an edit to the level clip or to the full-column shift fails here.
+"""
 
 import time
 
@@ -64,7 +70,7 @@ def test_equal_halves_are_multiplied_out_once(monkeypatch, parts, halves_built):
 
     monkeypatch.setattr(schur, "_coinvariant_half", counted)
     # the rank memo's body, so no earlier test's entry answers instead
-    rank = schur._coinvariant_rank.__wrapped__(2, 2, parts)
+    rank = schur._coinvariant_rank.__wrapped__(2, parts)
     assert len(built) == halves_built
     assert rank == schur.invariant_oracle(2, [SlWeight(2, p) for p in parts])
 

@@ -18,7 +18,7 @@ from strategies import boxed_partitions, weight_tuples
 
 
 def coinvariant_box_width(r, ws):
-    """Width of the forced box, or None where coinvariant_rank returns 0 before its body."""
+    """Width of the forced box, or None where the rank memo returns 0 before it multiplies."""
     total = sum(w.size for w in ws)
     if total % (r + 1) or any(w.row(1) > total // (r + 1) for w in ws):
         return None
@@ -322,8 +322,7 @@ def test_standalone_classical_route_walks_inside_its_box(monkeypatch):
     # long first rows
     r = 2
     ws = tuple(SlWeight(r, p) for p in ((20, 10),) * 3 + ((10,),) * 3)
-    width = sum(w.size for w in ws) // (r + 1)
-    expected = _coinvariant_rank.__wrapped__(r, width, tuple(sorted(w.parts for w in ws)))
+    expected = _coinvariant_rank.__wrapped__(r, tuple(sorted(w.parts for w in ws)))
     _cold_ranks()
     walks = _count_walks(monkeypatch)
     binding = []       # the walks made for asks whose box binds
@@ -365,6 +364,29 @@ def test_coinvariant_rank_small_cases():
         coinvariant_rank(2, (SlWeight(1, (1,)),))
 
 
+def test_a_trivial_weight_of_the_wrong_rank_is_refused():
+    # the rank key leaves trivial weights out, but every weight's rank is checked
+    for ws in ((SlWeight(2, (1,)),) * 3 + (SlWeight(1, ()),), (SlWeight(3, ()),)):
+        with pytest.raises(DomainError):
+            coinvariant_rank(2, ws)
+
+
+def test_the_rank_memo_returns_0_where_r_plus_1_does_not_divide_the_total():
+    # the memo reads the box width off its key, so it owns this 0 too
+    assert _coinvariant_rank.__wrapped__(1, ((1,),)) == 0
+    assert _coinvariant_rank.__wrapped__(2, ((1,), (1,), (2, 1))) == 0
+    assert _coinvariant_rank.__wrapped__(3, ((2, 1), (2, 2, 1), (3,))) == 0
+
+
+def test_a_walk_deeper_than_the_recursion_limit_is_refused():
+    # place recurses once per row that can grow: all 5001 rows here, while
+    # 501 stay inside the interpreter's default limit
+    with pytest.raises(CapacityError):
+        _lr_walk(tuple(range(5000, 0, -1)), (1,), 5002)
+    stairs = _lr_walk(tuple(range(500, 0, -1)), (1,), 502)
+    assert len(stairs) == 501 and set(stairs.values()) == {1}
+
+
 def test_invariant_oracle_examples():
     w1 = SlWeight(2, (1,))
     w2 = SlWeight(2, (1, 1))
@@ -401,7 +423,7 @@ def test_coinvariant_edge_arities():
             # point alone in the second half
             for ws in ((a, b, c), (b, c, a), (c, a, b)):
                 parts = tuple(w.parts for w in ws)
-                assert _coinvariant_rank.__wrapped__(r, width, parts) == expected
+                assert _coinvariant_rank.__wrapped__(r, parts) == expected
 
 
 # sl3 weights with first row at most 3 have dimension at most 15, and
@@ -438,8 +460,7 @@ def test_coinvariant_body_matches_oracle_through_full_columns(coeffs):
     ws = tuple(W(c, 2) for c in coeffs)
     parts = tuple(sorted(w.parts for w in ws))
     assert _strips_full_columns(2, parts)
-    width = coinvariant_box_width(2, ws)
-    assert _coinvariant_rank.__wrapped__(2, width, parts) == invariant_oracle(2, ws)
+    assert _coinvariant_rank.__wrapped__(2, parts) == invariant_oracle(2, ws)
 
 
 @settings(deadline=None)
@@ -454,8 +475,7 @@ def test_coinvariant_permutation_invariance(rlw, rng):
         assert coinvariant_rank(r, ws) == coinvariant_rank(r, shuffled) == 0
         return
     body = _coinvariant_rank.__wrapped__
-    assert (body(r, width, tuple(w.parts for w in ws))
-            == body(r, width, tuple(w.parts for w in shuffled)))
+    assert body(r, tuple(w.parts for w in ws)) == body(r, tuple(w.parts for w in shuffled))
 
 
 @settings(deadline=None)

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).resolve().parent.parent
 
 
@@ -54,3 +56,12 @@ def test_readme_library_example_runs():
     scope = {}
     exec(block, scope)
     assert scope["cb_rank"](scope["setup"]) == 7
+
+
+@pytest.mark.parametrize("bad", (["--max-rank", "0"], ["--max-level", "0"],
+                                 ["--min-points", "7"], ["--samples", "-1"]))
+def test_search_refuses_an_empty_range_or_a_negative_count(bad):
+    script = str(REPO / "scripts" / "search_rank_equality.py")
+    done = subprocess.run([sys.executable, script] + bad, capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.splitlines()[-1].startswith("search_rank_equality.py: error: --")

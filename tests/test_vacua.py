@@ -1,8 +1,8 @@
 """Propagation of vacua: a point carrying the trivial weight changes neither
 the bundle rank nor the classical rank.
 
-The rank memos key on the sorted non-empty diagrams, so the fusion and
-classical routes never see a trivial weight.  The Verlinde formula
+The rank memos key on young.rank_key, the sorted non-empty diagrams, so the
+fusion and classical routes never see a trivial weight.  The Verlinde formula
 (verlinde.py), the character oracle and witten_rank each read every weight,
 the trivial ones included, so a key that dropped a non-empty diagram as
 well would fail here against routes that share nothing with it.
@@ -16,7 +16,7 @@ import verlinde
 from cblocks.cb import vanishing_report, witten_rank
 from cblocks.errors import CapacityError
 from cblocks.schur import invariant_oracle
-from cblocks.young import BlockSetup, SlWeight, dual_star
+from cblocks.young import BlockSetup, SlWeight, dual_star, rank_key
 from strategies import weight_tuples
 
 
@@ -69,3 +69,20 @@ def test_a_weight_its_dual_and_trivial_weights_rank_one():
     trivial = SlWeight(3, ())
     for ws in ((lam, dual_star(lam)), (trivial, lam, trivial, dual_star(lam), trivial)):
         assert _ranks(3, 3, ws) == (1, 1, 1)
+
+
+@settings(deadline=None, max_examples=100)
+@given(weight_tuples(max_rank=3, max_level=4, max_points=5), st.data())
+def test_the_rank_key_ignores_order_and_trivial_weights(rlw, data):
+    r, _, ws = rlw
+    trivial = [SlWeight(r, ())] * data.draw(st.integers(min_value=1, max_value=3))
+    padded = data.draw(st.permutations(list(ws) + trivial))
+    key = rank_key(ws)
+    assert rank_key(padded) == key
+    assert list(key) == sorted(key) and () not in key
+    assert rank_key(trivial) == ()
+
+
+def test_the_rank_key_of_a_small_setup():
+    ws = (SlWeight(2, (1, 1)), SlWeight(2, ()), SlWeight(2, (1,)), SlWeight(2, (2,)))
+    assert rank_key(ws) == ((1,), (1, 1), (2,))

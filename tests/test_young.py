@@ -94,6 +94,20 @@ def test_parse_weight_counts_cells_before_building_rows():
             parse_weight(text, r)
 
 
+def test_a_zero_coefficient_adds_no_row():
+    # 0 w_j counts no cell, so it may not build j rows either
+    assert parse_weight("0w999999999", 999999999).parts == ()
+    assert parse_weight("2w1+0w5", 5).parts == (2,)
+    assert parse_weight("0w2+w1", 2).parts == (1,)
+
+
+def test_parse_weight_bounds_the_cells_of_a_bracketed_weight_too():
+    assert parse_weight("[10000000]", 1).parts == (10**7,)
+    for text, r in (("[10000001]", 1), ("[5000000,5000000,1]", 3)):
+        with pytest.raises(CapacityError):
+            parse_weight(text, r)
+
+
 def test_transpose_examples():
     assert transpose(SlWeight(2, (1,)), 1) == SlWeight(1, (1,))
     assert transpose(SlWeight(2, (3, 3)), 5) == SlWeight(5, (2, 2, 2))
