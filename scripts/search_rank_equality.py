@@ -96,7 +96,7 @@ def main(argv=None):
     for _ in range(cfg.samples):
         setup = random_setup(rng, cfg)
         report = vanishing_report(setup)
-        if report.above_critical or report.above_theta:
+        if report.bound:
             explained += 1
             continue
         if not report.ranks_equal:

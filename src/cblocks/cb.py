@@ -51,10 +51,11 @@ alcove reflections against one Gromov-Witten number.
 
 The critical level and first-row sum come from BlockSetup's own pass over
 the weights.  The classical memo (schur._coinvariant_rank) reads the same
-young.rank_key.  VanishingReport.check_rank is the one check that a bundle
-rank equals the classical rank above either bound.  Each route makes it
-on its own answer, vanishing_report on the fusion rank and witten_rank on
-the quantum rank, so no caller builds a report to check a rank.
+young.rank_key.  VanishingReport.bound names the vanishing bound a level
+lies above, if any, and VanishingReport.check_rank is the one check that a
+bundle rank equals the classical rank there.  Each route makes it on its
+own answer, vanishing_report on the fusion rank and witten_rank on the
+quantum rank, so no caller builds a report to check a rank.
 """
 
 from __future__ import annotations
@@ -228,7 +229,7 @@ def witten_rank(setup: BlockSetup):
     classes = [w.parts for w in setup.weights] + [(level,)] * s
     rank = gw_invariant(GrassmannBox(k, k + level), classes, s)
     rep = VanishingReport(setup)
-    if rep.above_critical or rep.above_theta:
+    if rep.bound:
         rep.check_rank(coinvariant_rank(setup.r, setup.weights), rank, "witten")
     return rank
 
@@ -237,10 +238,11 @@ class VanishingReport:
     """Levels, strict-threshold flags and both ranks of one setup.
 
     Building one from a setup reads both levels from the setup's tally and
-    sets both flags; vanishing_report then sets the three rank fields, which
-    are unset until it does; both rank routes call check_rank.  The theta
-    level is built from the stored first-row sum when it is read, so a
-    report whose theta level is never read builds no Fraction.
+    sets both flags, which bound names; vanishing_report then sets the three
+    rank fields, which are unset until it does; both rank routes call
+    check_rank.  The theta level is built from the stored first-row sum when
+    it is read, so a report whose theta level is never read builds no
+    Fraction.
     """
 
     __slots__ = ("critical_level", "first_rows", "above_critical", "above_theta",
@@ -258,13 +260,18 @@ class VanishingReport:
         """-1 + half the sum of the weights' first rows (highest-root pairings)."""
         return Fraction(self.first_rows - 2, 2)
 
+    @property
+    def bound(self):
+        """The vanishing bound the level lies above: "critical" when above
+        the critical level, else "theta" when above the theta level, else None."""
+        return "critical" if self.above_critical else "theta" if self.above_theta else None
+
     def check_rank(self, classical: int, rank: int, route: str) -> None:
         """Raise ConsistencyError when the `route` rank differs from the
         classical rank above either bound, where the two must agree."""
-        if (self.above_critical or self.above_theta) and classical != rank:
-            bound = "critical" if self.above_critical else "theta"
+        if classical != rank and self.bound:
             raise ConsistencyError(
-                f"ranks differ above a vanishing bound ({bound} level): "
+                f"ranks differ above a vanishing bound ({self.bound} level): "
                 f"classical {classical} != {route} {rank}")
 
 
@@ -395,7 +402,6 @@ def degree_m04(setup: BlockSetup) -> DegreeBreakdown:
         raise ConsistencyError(f"degree came out non-integral: {total}")
     if total < 0:
         raise ConsistencyError(f"degree came out negative: {total}")
-    if total and (rep.above_critical or rep.above_theta):
-        bound = "critical" if rep.above_critical else "theta"
-        raise ConsistencyError(f"degree {total} != 0 above a vanishing bound ({bound} level)")
+    if total and rep.bound:
+        raise ConsistencyError(f"degree {total} != 0 above a vanishing bound ({rep.bound} level)")
     return DegreeBreakdown(int(total), bulk, tuple(pairings))

@@ -47,23 +47,18 @@ def _cmd_rank(ns):
     from .schur import coinvariant_rank
 
     setup, params = _weights_and_echo(ns)
-    # the fusion route's report checks its rank and carries the classical rank
-    rep = None if ns.classical or ns.method == "witten" else vanishing_report(setup)
+    params["method"] = ns.method
+    # each route checks its rank against the classical rank above either bound
     results = {}
-    if ns.classical:
-        params["classical"] = "true"
-    else:
-        # each route checks its rank against the classical rank above either bound
-        params["method"] = ns.method
-        if rep is not None:
-            results["rank_cb"] = str(rep.rank_cb)
-        if ns.method in ("witten", "both"):
-            results["rank_witten"] = str(witten_rank(setup))
-        fusion, witten = results.get("rank_cb"), results.get("rank_witten")
-        if ns.method == "both" and fusion != witten:
-            raise ConsistencyError(f"rank routes disagree: fusion {fusion} != witten {witten}")
-    classical = coinvariant_rank(setup.r, setup.weights) if rep is None else rep.rank_classical
-    results["rank_classical"] = str(classical)
+    if ns.method in ("fusion", "both"):
+        results["rank_cb"] = str(vanishing_report(setup).rank_cb)
+    if ns.method in ("witten", "both"):
+        results["rank_witten"] = str(witten_rank(setup))
+    if ns.method == "both" and results["rank_cb"] != results["rank_witten"]:
+        raise ConsistencyError(f"rank routes disagree: fusion {results['rank_cb']} "
+                               f"!= witten {results['rank_witten']}")
+    # after the fusion route's report this is a memo hit under the same rank_key
+    results["rank_classical"] = str(coinvariant_rank(setup.r, setup.weights))
     return params, results
 
 
@@ -87,7 +82,7 @@ def _cmd_vanish(ns):
 
     setup, params = _weights_and_echo(ns)
     rep = vanishing_report(setup)
-    if setup.n == 4 and (rep.above_critical or rep.above_theta):
+    if setup.n == 4 and rep.bound:
         degree_m04(setup)    # raises ConsistencyError on a nonzero degree there
     results = {
         "critical_level": "undefined" if rep.critical_level is None else str(rep.critical_level),
@@ -235,9 +230,9 @@ def _build_parser() -> _Parser:
         return q
 
     q = add("rank", _cmd_rank, "bundle rank, with the classical rank alongside")
-    q.add_argument("--classical", action="store_true",
-                   help="report only the classical (coinvariant) rank")
-    q.add_argument("--method", choices=("fusion", "witten", "both"), default="fusion")
+    q.add_argument("--method", choices=("fusion", "witten", "both", "classical"), default="fusion",
+                   help="bundle ranks to print: fusion rank_cb, witten rank_witten, both the "
+                        "two (exit 3 when they differ), classical none; rank_classical follows")
 
     add("degree", _cmd_degree, "degree on the four-point moduli line, with its breakdown")
     add("vanish", _cmd_vanish, "levels, thresholds, and both ranks")

@@ -244,6 +244,8 @@ def test_vanishing_reports():
                 assert type(rep.theta_level) is Fraction
                 assert rep.above_critical == (c is not None and level > c)
                 assert rep.above_theta == (level > t)
+                assert rep.bound == ("critical" if c is not None and level > c
+                                     else "theta" if level > t else None)
 
 
 def test_partner_identity_table_rows():

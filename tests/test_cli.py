@@ -73,8 +73,8 @@ def test_json_and_csv_output_match_golden(command, fmt):
      "rank_source      1\n"
      "rank_partner     1\n"
      "rank_classical   1\n"),
-    (("rank", "--r", "1", "--level", "2", "--weights", "w1,w1,w1,w1", "--classical"),
-     "rank --r 1 --level 2 --weights w1,w1,w1,w1 --classical true\n"
+    (("rank", "--r", "1", "--level", "2", "--weights", "w1,w1,w1,w1", "--method", "classical"),
+     "rank --r 1 --level 2 --weights w1,w1,w1,w1 --method classical\n"
      "rank_classical  2\n"),
 ))
 def test_flag_echo_text_output(argv, expected):
@@ -132,12 +132,45 @@ def test_precondition_messages_carry_reprs(argv, message):
     assert invoke(*argv) == (2, "", message)
 
 
-def test_rank_classical_flag_skips_bundle_ranks():
+def test_rank_method_classical_skips_bundle_ranks():
     code, out, _ = invoke("rank", "--r", "1", "--level", "2",
-                          "--weights", "w1,w1,w1,w1", "--classical")
+                          "--weights", "w1,w1,w1,w1", "--method", "classical")
     assert code == 0
     assert "rank_classical  2" in out
     assert "rank_cb" not in out
+
+
+def test_the_removed_classical_flag_exits_1():
+    # refused, not run as some route with an option dropped
+    assert invoke("rank", "--r", "2", "--level", "1", "--weights", "w1,w1,w1",
+                  "--classical", "--method", "both") == (
+        1, "", "unrecognized arguments: --classical\n")
+
+
+# below both bounds (critical level 1, theta level 2), so the ranks may differ
+_RANK_LINES = {
+    "fusion": "rank_cb         1\n"
+              "rank_classical  5\n",
+    "witten": "rank_witten     1\n"
+              "rank_classical  5\n",
+    "both": "rank_cb         1\n"
+            "rank_witten     1\n"
+            "rank_classical  5\n",
+    "classical": "rank_classical  5\n",
+}
+
+
+@pytest.mark.parametrize("method", _RANK_LINES)
+def test_each_rank_method_prints_its_ranks(method):
+    argv = ("rank", "--r", "2", "--level", "1", "--weights", "w1,w1,w1,w1,w1,w1",
+            "--method", method)
+    lines = _RANK_LINES[method]
+    assert invoke(*argv) == (0, " ".join(argv) + "\n" + lines, "")
+    code, out, err = invoke(*argv, "--format", "json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["query"]["parameters"]["method"] == method
+    assert list(doc["results"].items()) == [tuple(line.split()) for line in lines.splitlines()]
 
 
 def test_text_output_is_reproducible():
@@ -234,7 +267,7 @@ _HELP_NAMES = {
     "gw": ("--grassmannian", "--classes", "--qdegree", "--format"),
     "hassett": _SETUP_OPTIONS + ("--mode",),
     "partner": _SETUP_OPTIONS + ("--force",),
-    "rank": _SETUP_OPTIONS + ("--classical", "--method"),
+    "rank": _SETUP_OPTIONS + ("--method", "{fusion,witten,both,classical}"),
     "table": ("--format",),
     "vanish": _SETUP_OPTIONS,
 }

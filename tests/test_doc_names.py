@@ -1,15 +1,18 @@
 """Every private name the package's prose cites, and every module-qualified
-name the README cites, is one the package defines; and the package's prose
+name the README cites, is one the package defines; every option the README's
+command-line section cites is one a command takes; and the package's prose
 names no benchmark workload.
 
-A renamed or deleted helper otherwise lives on in the docstrings and in the
-README, where nothing runs it.  A count of what one benchmark list puts in
-a cache goes stale with every change to the code or the workload, so such
-counts live in CHANGES.md and the BENCH_*.json files, not in the package.
+A renamed or deleted helper or option otherwise lives on in the docstrings
+and in the README, where nothing runs it.  A count of what one benchmark
+list puts in a cache goes stale with every change to the code or the
+workload, so such counts live in CHANGES.md and the BENCH_*.json files, not
+in the package.
 Like test_trace_layers.py, this parses the sources and imports nothing from
 perfbench.
 """
 
+import argparse
 import ast
 import importlib
 import io
@@ -17,6 +20,8 @@ import json
 import re
 import tokenize
 from pathlib import Path
+
+from cblocks.cli import _build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "cblocks"
@@ -76,3 +81,24 @@ def test_the_prose_names_no_benchmark_workload():
                     for text in _prose(path.read_text())
                     for name in re.findall(r"`([^`]+)`", text) if name in workloads})
     assert not cited, f"a docstring or comment names a benchmark workload: {cited}"
+
+
+def _stale_options(section):
+    """The --options cited in `section`'s code spans and shell block that no
+    cblocks subcommand takes; --r/--level/--weights counts as three."""
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    known = {option for q in sub.choices.values() for option in q._option_string_actions}
+    spans = re.findall(r"```.*?```", section, flags=re.S)
+    spans += re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", section, flags=re.S))
+    cited = {option for span in spans for option in re.findall(r"--\w[\w-]*", span)}
+    return sorted(cited - known)
+
+
+def test_every_option_in_the_readme_command_line_is_an_option():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Command line\n", 1)[1].split("\n## ", 1)[0]
+    assert "--r/--level/--weights" in section and "```sh" in section
+    assert _stale_options(section) == []
+    # a flag the parser no longer takes is caught
+    assert _stale_options("`rank --classical`") == ["--classical"]

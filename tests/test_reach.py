@@ -87,7 +87,7 @@ def _runs():
         for fmt in ("text", "json", "csv"):
             yield golden_argv(command) + ["--format", fmt], 0
     rank = golden_argv("rank")
-    for extra in (["--method", "fusion"], ["--method", "witten"], ["--classical"]):
+    for extra in (["--method", "fusion"], ["--method", "witten"], ["--method", "classical"]):
         yield rank + extra, 0
     # at its critical level (s = 1) the quantum route multiplies classes
     # outside the orbit of (), so it reaches the LR product and rim hooks
