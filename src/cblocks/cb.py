@@ -28,7 +28,8 @@ Two independent rank algorithms are kept deliberately separate:
   right mu* only when r+1 divides the whole total, so cb_rank returns 0
   without contracting when it does not, which is when the setup's critical
   level is None.  Otherwise it reads a bounded memo (_cb_rank) keyed on
-  r, the level and young.rank_key of the weights.  The memo deals the
+  r, the level and the setup's key (young.rank_key of the weights, which
+  BlockSetup.key sorts once and stores).  The memo deals the
   sorted diagrams alternately into the two halves and contracts each in
   ascending order, so neither half carries most of the cells and builds a
   wide vector.  Its classical products are unbounded, and they fill the
@@ -50,8 +51,10 @@ tautology.  On three points the split is one fusion coefficient read off by
 alcove reflections against one Gromov-Witten number.
 
 The critical level and first-row sum come from BlockSetup's own pass over
-the weights.  The classical memo (schur._coinvariant_rank) reads the same
-young.rank_key.  VanishingReport.bound names the vanishing bound a level
+the weights.  vanishing_report and witten_rank read the classical memo
+(schur._coinvariant_rank) directly under the same stored key, so a report
+sorts the diagrams at most once and checks the weights' ranks only where
+BlockSetup does.  VanishingReport.bound names the vanishing bound a level
 lies above, if any, and VanishingReport.check_rank is the one check that a
 bundle rank equals the classical rank there.  Each route makes it on its
 own answer, vanishing_report on the fusion rank and witten_rank on the
@@ -66,8 +69,8 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from .errors import ConsistencyError, DomainError
-from .schur import _lr_mult, coinvariant_rank
-from .young import BlockSetup, Partition, SlWeight, dual_parts, dual_star, rank_key, transpose
+from .schur import _coinvariant_rank, _lr_mult
+from .young import BlockSetup, Partition, SlWeight, dual_parts, dual_star, transpose
 
 
 def level_weights(r: int, level: int) -> tuple:
@@ -181,11 +184,11 @@ def cb_rank(setup: BlockSetup):
 
     When r+1 does not divide the total size no left mu meets a right mu*
     (module docstring), so the rank is 0 without contracting.  Otherwise the
-    memo key is rank_key of the weights.
+    memo key is the setup's stored key, rank_key of the weights.
     """
     if setup.critical_level is None:
         return 0
-    return _cb_rank(setup.r, setup.level, rank_key(setup.weights))
+    return _cb_rank(setup.r, setup.level, setup.key())
 
 
 @lru_cache(maxsize=1 << 14)
@@ -224,13 +227,13 @@ def witten_rank(setup: BlockSetup):
         return 0
     s = c + 1 - setup.level
     if s < 0:
-        return coinvariant_rank(setup.r, setup.weights)
+        return _coinvariant_rank(setup.r, setup.key())
     k, level = setup.r + 1, setup.level
     classes = [w.parts for w in setup.weights] + [(level,)] * s
     rank = gw_invariant(GrassmannBox(k, k + level), classes, s)
     rep = VanishingReport(setup)
     if rep.bound:
-        rep.check_rank(coinvariant_rank(setup.r, setup.weights), rank, "witten")
+        rep.check_rank(_coinvariant_rank(setup.r, setup.key()), rank, "witten")
     return rank
 
 
@@ -281,11 +284,13 @@ def vanishing_report(setup: BlockSetup) -> VanishingReport:
     Above either threshold the two ranks must agree; a disagreement raises
     ConsistencyError instead of being reported.  When r+1 does not divide the
     total size both ranks are 0 (the docstrings of coinvariant_rank and
-    cb_rank), so neither route is called and no check is made.  Both routes
-    key their memos on rank_key of the weights.  The fusion route runs
-    first, so the classical route finds its LR products in the memo and
-    filters them to its box instead of walking boxed copies
-    (schur._lr_mult).
+    cb_rank), so neither route is called and no check is made.  Otherwise
+    cb_rank builds the setup's key, and the classical memo
+    (schur._coinvariant_rank) is read under that stored key, with no second
+    sort and no second check of the weights' ranks, which BlockSetup made.
+    The fusion route runs first, so the classical route finds its LR
+    products in the memo and filters them to its box instead of walking
+    boxed copies (schur._lr_mult).
     """
     rep = VanishingReport(setup)
     if rep.critical_level is None:
@@ -294,7 +299,7 @@ def vanishing_report(setup: BlockSetup) -> VanishingReport:
         rep.ranks_equal = True
         return rep
     rank_v = cb_rank(setup)
-    rank_a = coinvariant_rank(setup.r, setup.weights)
+    rank_a = _coinvariant_rank(setup.r, setup.key())
     rep.check_rank(rank_a, rank_v, "conformal blocks")
     rep.rank_classical, rep.rank_cb, rep.ranks_equal = rank_a, rank_v, rank_a == rank_v
     return rep

@@ -60,9 +60,12 @@ both.  The pairing loops over the left vector.
 coinvariant_rank checks every weight's rank, then reads a bounded memo
 (_coinvariant_rank) keyed on r and young.rank_key of the weights, the key
 of cb._cb_rank too; the classical rank depends on no level, so one entry
-serves every level.  On a miss the memo reads the box width off the key's
-total size, and returns 0 when r+1 does not divide that size or a first
-row is longer than the box is wide, so those checks run once per key.
+serves every level.  That check serves the public callers, which pass
+bare weights: cb reads the memo directly under a BlockSetup's stored key,
+whose weights BlockSetup has checked.  On a miss the memo reads the box
+width off the key's total size, and returns 0 when r+1 does not divide
+that size or a first row is longer than the box is wide, so those checks
+run once per key.
 invariant_oracle recomputes the rank by a deliberately different route
 (weight-multiplicity convolution followed by a Weyl alternating sum) and
 exists so the two can be played against each other.
@@ -208,7 +211,7 @@ def coinvariant_rank(r: int, weights: Sequence[SlWeight]):
     Degenerate inputs (total size not divisible by r+1, or some first row too
     long to fit the forced box) give 0, not an error.  Every weight's rank
     is checked, a trivial weight's too; the memo key is rank_key of the
-    weights.
+    weights.  cb reads the memo directly under a checked setup's key.
     """
     for w in weights:
         if w.rank != r:

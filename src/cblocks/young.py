@@ -166,10 +166,13 @@ class BlockSetup:
     -1 + (total size)/(r+1) when r+1 divides the total size and None
     otherwise, and first_rows, the sum of the first rows (highest-root
     pairings), from which the theta level -1 + first_rows/2 is built.
-    Setups compare and hash by (r, level, weights).
+    One more slot holds rank_key of the weights once key() has sorted
+    them, and None until then.  __init__ does not sort: a setup whose
+    critical level is None never reaches a rank memo, and a search builds
+    many of those.  Setups compare and hash by (r, level, weights).
     """
 
-    __slots__ = ("r", "level", "weights", "critical_level", "first_rows")
+    __slots__ = ("r", "level", "weights", "critical_level", "first_rows", "_key")
 
     def __init__(self, r: int, level: int, weights: Sequence[SlWeight]):
         if r < 1:
@@ -192,6 +195,14 @@ class BlockSetup:
         self.weights = ws
         self.critical_level = None if total % (r + 1) else total // (r + 1) - 1
         self.first_rows = first_rows
+        self._key = None
+
+    def key(self) -> tuple:
+        """rank_key of the weights, sorted on the first call and stored."""
+        key = self._key
+        if key is None:
+            key = self._key = rank_key(self.weights)
+        return key
 
     def __eq__(self, other):
         if other.__class__ is not BlockSetup:

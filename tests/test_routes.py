@@ -18,7 +18,7 @@ ROUTES = ("cb", "qgrass", "schur")
 # name is None when the route's module itself is imported
 PINNED = {
     ("cb", None, "schur", "_lr_mult"),
-    ("cb", None, "schur", "coinvariant_rank"),
+    ("cb", None, "schur", "_coinvariant_rank"),
     ("cb", "witten_rank", "qgrass", "GrassmannBox"),
     ("cb", "witten_rank", "qgrass", "gw_invariant"),
     ("qgrass", None, "schur", "_lr_walk"),
