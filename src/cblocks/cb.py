@@ -15,11 +15,13 @@ Two independent rank algorithms are kept deliberately separate:
   only subtracts its last row and counts it with sign +1; the reflection
   loop sees the rest.  The contraction vectors are keyed by normalised
   parts tuples, the dual is taken on those tuples, and the cached fusion
-  products (fusion_expand) are {parts: coeff} dicts.  degree_m04 reads
-  each split's two-point vectors from _fuse, so it asks fusion_expand as
-  the contraction does (at the clipped level, the pair in _fuse's order)
-  and reuses its entries; it takes the conformal weight of each
-  constituent that enters a term straight from its parts.
+  products (fusion_expand) are {parts: coeff} dicts.  The shapes that
+  fusion_expand and _fuse store pass through young.share_shapes, as the
+  LR memo's do, so a shape that many entries hold is one tuple.
+  degree_m04 reads each split's two-point vectors from _fuse, so it asks
+  fusion_expand as the contraction does (at the clipped level, the pair in
+  _fuse's order) and reuses its entries; it takes the conformal weight of
+  each constituent that enters a term straight from its parts.
   Each half's vector comes from _fuse, a bounded memo keyed on (r, level,
   the whole half): setups of a search are mostly distinct, but their
   halves repeat.  The vector's keys keep the half's total size mod r+1:
@@ -70,7 +72,8 @@ from itertools import combinations_with_replacement
 
 from .errors import ConsistencyError, DomainError
 from .schur import _coinvariant_rank, _lr_mult
-from .young import BlockSetup, Partition, SlWeight, dual_parts, dual_star, transpose
+from .young import (
+    BlockSetup, Partition, SlWeight, dual_parts, dual_star, share_shapes, transpose)
 
 
 def level_weights(r: int, level: int) -> tuple:
@@ -131,9 +134,11 @@ def fusion_expand(r: int, level: int, p: Partition, q: Partition) -> dict[Partit
     """{parts: coeff} of the fusion product of two normalised diagrams, zeros absent.
 
     The dict is the cache entry itself, so callers only read it, as with
-    _lr_mult.  At every level from p[0] + q[0] up the product is the same,
-    so _fuse asks each pair at min(level, p[0] + q[0]) and one entry serves
-    all those levels.  The 2**16 entries bound the cache.
+    _lr_mult.  Its shapes are the shape table's tuples (young.share_shapes),
+    those made here too, by removing the last row or by _alcove_reduce.
+    At every level from p[0] + q[0] up the product is the same, so _fuse
+    asks each pair at min(level, p[0] + q[0]) and one entry serves all
+    those levels.  The 2**16 entries bound the cache.
     """
     acc: dict[Partition, int] = {}
     for u, mult in _lr_mult(p, q, r + 1).items():
@@ -150,7 +155,7 @@ def fusion_expand(r: int, level: int, p: Partition, q: Partition) -> dict[Partit
             continue
         parts, s = red
         acc[parts] = acc.get(parts, 0) + s * mult
-    return {parts: c for parts, c in acc.items() if c}
+    return share_shapes(acc)
 
 
 @lru_cache(maxsize=1 << 14)
@@ -160,9 +165,10 @@ def _fuse(r: int, level: int, parts: tuple) -> dict[Partition, int]:
 
     The memo is keyed by the whole half, so a half that recurs across setups
     is contracted once.  The dict is the cache entry itself, so callers only
-    read it, as with fusion_expand.  The 2**14 entries bound the cache.
+    read it, as with fusion_expand; its shapes, the seed's too, are the
+    shape table's tuples.  The 2**14 entries bound the cache.
     """
-    vec = {parts[0] if parts else (): 1}
+    vec = share_shapes({parts[0] if parts else (): 1})
     for q in parts[1:]:
         nxt: dict[Partition, int] = {}
         # no constituent spreads wider than mu[0] + q[0], so at that level or

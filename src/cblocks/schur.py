@@ -33,6 +33,11 @@ widest first-row bound asked so far; a bound of p[0] + q[0] or more cannot
 bind, so it is the unbounded product.  It walks again only when a caller
 asks for more than the slot holds, so its answer may hold constituents
 wider than the width asked, and callers that pass a width drop them.
+A slot's product passes its shapes through young.share_shapes, so a shape
+that many slots hold is one tuple.  The kernel itself returns fresh
+tuples: qgrass calls it directly, and the quantum route's memos and
+allocations are left as they are, since a gain there cannot yet be told
+apart from the garbage collector's effect on that route's timings.
 
 The coinvariant rank of a weight tuple is the coefficient of the forced
 (r+1) x width box in the product of its Schur functions.  The sorted
@@ -79,7 +84,8 @@ from itertools import accumulate, permutations
 from collections.abc import Sequence
 
 from .errors import CapacityError, DomainError
-from .young import Partition, SlWeight, box_complement, partition, rank_key, row
+from .young import (
+    Partition, SlWeight, box_complement, partition, rank_key, row, share_shapes)
 
 
 def _lr_walk(p: Partition, q: Partition, row_bound: int,
@@ -188,15 +194,16 @@ def _lr_mult(p: Partition, q: Partition, row_bound: int,
     bind, so it is the unbounded product; the walk runs again only when a
     caller asks for more than the slot holds.  The answer may therefore hold
     constituents wider than `width`, and a caller that passes one drops
-    them.  The dict is the slot's own, so callers only read it.  The 2**16
-    slots bound the memo.
+    them.  The dict is the slot's own, so callers only read it; its shapes
+    are the shape table's tuples (young.share_shapes).  The 2**16 slots
+    bound the memo.
     """
     slot = _lr_slot(p, q, row_bound)
     full = (p[0] if p else 0) + (q[0] if q else 0)
     if width is None or width > full:
         width = full
     if slot[0] < width:
-        slot[1] = _lr_walk(p, q, row_bound, width)
+        slot[1] = share_shapes(_lr_walk(p, q, row_bound, width))
         slot[0] = width
     return slot[1]
 

@@ -8,7 +8,11 @@ on that canonical data.  BlockSetup is the one check of an (r, level,
 weights) triple; every function that works on a bundle takes one.  The
 pass that checks its weights also tallies the two numbers the vanishing
 bounds are made of: the critical level and the first-row sum.  rank_key
-is the one key both rank memos read a setup's weights by.
+is the one key both rank memos read a setup's weights by.  share_shapes
+is the one shape table: the values of the memos behind the two rank
+routes (schur._lr_mult's slots, cb.fusion_expand and cb._fuse) pass the
+shapes they store through it, so an equal shape is one tuple however many
+values hold it.  It is a dict, cleared before it would pass 2**16 entries.
 
 Weights parse and print in the size of their diagram, not of r: a term
 m w_j of `2w1+w3` adds m cells to each of rows 1..j, so the diagram grows
@@ -157,6 +161,31 @@ def rank_key(weights: Iterable[SlWeight]) -> tuple:
     one entry of each memo, at every number of them.
     """
     return tuple(sorted([w.parts for w in weights if w.parts]))
+
+
+# the table of share_shapes: each shape is its own key and value
+_SHAPES: dict = {}
+_SHAPES_BOUND = 1 << 16
+
+
+def share_shapes(vector: dict) -> dict:
+    """A copy of the {shape: coefficient} `vector`, zero coefficients dropped,
+    whose keys are the shape table's one tuple of each shape.
+
+    The rank memos keep their values for the life of the process, and their
+    shapes recur from one value to the next; shared, an equal shape costs
+    one tuple however many values hold it.  The table is cleared before it
+    would pass _SHAPES_BOUND entries, and a larger vector shares nothing,
+    so it never holds more; a shape made after a clear is an equal tuple,
+    not a wrong one.
+    """
+    table = _SHAPES
+    if len(table) + len(vector) > _SHAPES_BOUND:
+        table.clear()
+        if len(vector) > _SHAPES_BOUND:
+            table = {}
+    get = table.setdefault
+    return {get(p, p): c for p, c in vector.items() if c}
 
 
 class BlockSetup:

@@ -2,11 +2,17 @@ import importlib
 import re
 from pathlib import Path
 
+from cblocks import young
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "cblocks"
 
 # The unbounded caches that predate the rule below.  Bounding one removes it
 # from this list; nothing is added to it.
 UNBOUNDED = set()
+
+# The module-level tables, each with its bound in entries: the shape table of
+# young.share_shapes is a dict that is cleared before it passes its bound.
+TABLES = {"young._SHAPES": 1 << 16}
 
 # every way of making a functools cache in the source: lru_cache(...), a bare
 # @lru_cache, cache(...) and @cache, with or without the module prefix
@@ -15,6 +21,7 @@ _CACHE_USE = re.compile(r"\blru_cache\b|@(functools\.)?cache\b|\bcache\(")
 
 def test_every_cache_is_bounded_or_allowlisted():
     found = {}
+    tables = set()
     for path in sorted(SRC.glob("*.py")):
         module = importlib.import_module(f"cblocks.{path.stem}")
         cached = {f"{path.stem}.{name}": value.cache_parameters()["maxsize"]
@@ -25,5 +32,28 @@ def test_every_cache_is_bounded_or_allowlisted():
         # a cache made anywhere but on a module-level function escapes the check
         assert len(uses) == len(cached), (path.name, uses, sorted(cached))
         found.update(cached)
+        tables |= {f"{path.stem}.{name}" for name, value in vars(module).items()
+                   if type(value) in (dict, list, set) and not name.startswith("__")}
     unbounded = {name for name, maxsize in found.items() if maxsize is None}
     assert unbounded == UNBOUNDED
+    # a table the scan finds is one that holds state between calls
+    assert tables == set(TABLES)
+    assert young._SHAPES_BOUND == TABLES["young._SHAPES"]
+    _assert_the_shape_table_stays_bounded()
+
+
+def _assert_the_shape_table_stays_bounded():
+    """Share more distinct shapes than the bound, in vectors of 1000 and in
+    one larger than the bound, and check the table's size after each."""
+    saved = dict(young._SHAPES)
+    bound = young._SHAPES_BOUND
+    try:
+        for start in range(0, bound + 5000, 1000):
+            young.share_shapes({(i,): 1 for i in range(start, start + 1000)})
+            assert len(young._SHAPES) <= bound
+        vector = {(i, 1): 1 for i in range(bound + 1)}
+        assert young.share_shapes(vector) == vector
+        assert len(young._SHAPES) <= bound
+    finally:
+        young._SHAPES.clear()
+        young._SHAPES.update(saved)

@@ -1,0 +1,104 @@
+"""One tuple per shape in the rank memos' values (young.share_shapes).
+
+The LR slots (schur._lr_mult), the fusion products (cb.fusion_expand) and
+the half vectors (cb._fuse) live as long as the process, and their shapes
+recur from one value to the next.  Each of the three passes the shapes it
+makes through the one shape table, so an equal shape is one tuple however
+many values hold it.  The table is cleared before it passes its bound, and
+a shape made after a clear is an equal tuple, so clearing changes no answer.
+"""
+
+from pathlib import Path
+
+from cblocks import cb, schur, young
+from cblocks.cb import degree_m04, vanishing_report
+from cblocks.young import BlockSetup, parse_weight_list
+
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
+
+
+def _readme_setups():
+    """The setup of every README input that names one, from its golden echo line."""
+    setups = []
+    for path in sorted(GOLDEN.glob("*.txt")):
+        argv = path.read_text().splitlines()[0].split(" ")
+        if "--weights" in argv:
+            r, level = (int(argv[argv.index(flag) + 1]) for flag in ("--r", "--level"))
+            setups.append((r, level, argv[argv.index("--weights") + 1]))
+    return setups
+
+
+SETUPS = _readme_setups() + [
+    (2, 40, ",".join(["20w1"] * 6)),
+    (3, 7, "[2,1],[2,2],[2,2],[3,2,1],[3,3],[3,2]"),
+    # three points: one half is a single diagram, _fuse's seed entry
+    (2, 2, "w1,w1,w1"),
+    (2, 3, "2w1,w1+w2,w1"),
+]
+
+
+def _cold():
+    """Empty every functools cache of cb and schur, and the shape table."""
+    for module in (cb, schur):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear") and value.__module__ == module.__name__:
+                value.cache_clear()
+    young._SHAPES.clear()
+
+
+def _answers():
+    """Both ranks of every setup, and the degree breakdown of each four-point one."""
+    out = []
+    for r, level, text in SETUPS:
+        setup = BlockSetup(r, level, parse_weight_list(text, r))
+        rep = vanishing_report(setup)
+        out.append((rep.rank_cb, rep.rank_classical))
+        if setup.n == 4:
+            out.append(degree_m04(setup))
+    return out
+
+
+def test_every_shape_the_rank_memos_hold_is_one_tuple(monkeypatch):
+    _cold()    # before the wrappers hide the caches from it
+    held = {}
+
+    def recording(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            value = real(*args)
+            held[id(value)] = value
+            return value
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((schur, "_lr_slot"), (cb, "fusion_expand"), (cb, "_fuse")):
+        recording(module, name)
+    _answers()
+    shapes = [p for value in held.values()
+              for p in (value[1] if isinstance(value, list) else value)]
+    assert len(shapes) > 1000
+    assert len({id(p) for p in shapes}) == len(set(shapes))
+    assert all(young._SHAPES[p] is p for p in shapes)
+
+
+def test_clearing_the_shape_table_changes_no_answer(monkeypatch):
+    _cold()
+    expected = _answers()
+    # a small bound clears the table many times inside one contraction, and a
+    # vector larger than the bound is shared with nothing
+    bound = 12
+    monkeypatch.setattr(young, "_SHAPES_BOUND", bound)
+    real = young.share_shapes
+    sizes = []
+
+    def watched(vector):
+        value = real(vector)
+        sizes.append(len(young._SHAPES))
+        return value
+    monkeypatch.setattr(schur, "share_shapes", watched)
+    monkeypatch.setattr(cb, "share_shapes", watched)
+    _cold()
+    assert _answers() == expected
+    assert max(sizes) <= bound
+    assert any(b < a for a, b in zip(sizes, sizes[1:]))    # the table was cleared
+    _cold()
