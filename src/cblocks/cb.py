@@ -16,8 +16,9 @@ Two independent rank algorithms are kept deliberately separate:
   loop sees the rest.  The contraction vectors are keyed by normalised
   parts tuples, the dual is taken on those tuples, and the cached fusion
   products (fusion_expand) are {parts: coeff} dicts.  The shapes that
-  fusion_expand and _fuse store pass through young.share_shapes, as the
-  LR memo's do, so a shape that many entries hold is one tuple.
+  fusion_expand and _fuse store pass through young.share_shapes, and the
+  LR kernel hands out the same table's tuples, so a shape that many
+  entries hold is one tuple.
   degree_m04 reads each split's two-point vectors from _fuse, so it asks
   fusion_expand as the contraction does (at the clipped level, the pair in
   _fuse's order) and reuses its entries; it takes the conformal weight of

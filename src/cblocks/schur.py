@@ -13,19 +13,27 @@ constituent of s_p * s_q has more rows than p and q together.  It adds one
 letter per row of its second factor, so it first orients the pair
 (c^nu_{p,q} = c^nu_{q,p}): the factor with fewer rows, then fewer cells,
 goes second, and an empty second factor returns at once.  For each (shape,
-previous strip) state it computes every row's cap once (the width for the
-first row, the old row above it for the others), then enumerates the
-letter's strips row by row, growing the shape in place and adding each
-finished (shape, strip) straight into the next state table.  A row whose
-cap is 0 is passed over inside the call for the row above it, so the
-recursion is only as deep as the rows that can grow, however tall the
-shape.  The last letter's states are keyed by shape alone, since no later
-letter reads their strip counts.  A branch is cut as soon as the cells still to place exceed
-what the remaining rows can hold.  Every constituent leaves the kernel
-canonical (trailing zeros dropped), so callers use it without validating it
-again.  Passing `width` keeps only the constituents whose first row is at
-most `width`, and clips every intermediate shape to it too, which is exact
-because a product never shrinks a shape.
+previous strip) state it computes every row's cap in one pass (the width
+for the first row, the old row above it for the others); the caps
+telescope, so the cells that rows j.. can hold are read off the shape as
+the row above j less the bottom row.  It then enumerates the letter's
+strips depth first on an explicit stack of (row, cells left, ballot room,
+next count, least count) frames, growing the shape in place and adding
+each finished (shape, strip) straight into the next state table.  A strip
+opens only rows that have both a cap and ballot room: a row whose cap is 0,
+or whose ballot limit leaves no room, gets no frame of its own, so the
+stack holds one frame per opened row of the branch, and the walk uses no
+Python recursion however tall the shape.  A state goes unwalked
+when the ballot limit or the free cells leave too little room for the
+letter; after that check every opened branch finishes, since row j + 1
+can always take the previous letter's cells in row j.  The last letter's
+states are keyed by shape alone, since no later letter reads their strip
+counts.  Every constituent leaves the kernel canonical (trailing zeros
+dropped) and as the shape table's tuple (young.shape_table), so every
+caller, qgrass included, gets one tuple per shape and uses it without
+validating it again.  Passing `width` keeps only the constituents whose
+first row is at most `width`, and clips every intermediate shape to it
+too, which is exact because a product never shrinks a shape.
 
 The memo _lr_mult(p, q, row_bound, width) sits in front of the kernel.  It
 keeps one slot per (p, q, row_bound), holding the product walked at the
@@ -33,11 +41,7 @@ widest first-row bound asked so far; a bound of p[0] + q[0] or more cannot
 bind, so it is the unbounded product.  It walks again only when a caller
 asks for more than the slot holds, so its answer may hold constituents
 wider than the width asked, and callers that pass a width drop them.
-A slot's product passes its shapes through young.share_shapes, so a shape
-that many slots hold is one tuple.  The kernel itself returns fresh
-tuples: qgrass calls it directly, and the quantum route's memos and
-allocations are left as they are, since a gain there cannot yet be told
-apart from the garbage collector's effect on that route's timings.
+A slot stores the kernel's own dict, whose shapes are already the table's.
 
 The coinvariant rank of a weight tuple is the coefficient of the forced
 (r+1) x width box in the product of its Schur functions.  The sorted
@@ -80,12 +84,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, permutations
+from itertools import permutations
+from operator import sub
 from collections.abc import Sequence
 
 from .errors import CapacityError, DomainError
 from .young import (
-    Partition, SlWeight, box_complement, partition, rank_key, row, share_shapes)
+    Partition, SlWeight, box_complement, partition, rank_key, row, shape_table)
 
 
 def _lr_walk(p: Partition, q: Partition, row_bound: int,
@@ -96,7 +101,8 @@ def _lr_walk(p: Partition, q: Partition, row_bound: int,
     are kept, and every intermediate shape is clipped to it as well.  The
     product is symmetric, so the factor with fewer rows, then fewer cells,
     goes second: the walk adds one letter per row of the second factor.
-    Nothing is cached here; _lr_mult is the memo.
+    Nothing is cached here, _lr_mult is the memo, but every shape returned
+    is the shape table's tuple (young.shape_table), the early return's too.
     """
     size_p, size_q = sum(p), sum(q)
     if (len(q), size_q) > (len(p), size_p):
@@ -110,69 +116,76 @@ def _lr_walk(p: Partition, q: Partition, row_bound: int,
             or (p and p[0] > width) or (q and q[0] > width)):
         return {}
     if not q:
-        return {p: 1}
+        return {shape_table(1)(p, p): 1}
     # the first letter has no ballot limit: give it all its cells as slack
     states = {(p + (0,) * (rows - len(p)), (0,) * rows): 1}
     slack = q[0]
     counts = [0] * rows              # the letter's cells in each row
     grown = [0] * rows               # the shape with those cells added
-
-    def place(j, remaining, room):
-        """Put c cells of the letter in row j, for each c in turn, then recurse.
-
-        `room` is the ballot limit for rows 0..j: `slack` plus the previous
-        letter's cells in rows 0..j-1, less the cells already placed.
-        A row whose cap is 0 takes no cell, so it is passed over here
-        rather than by a call of its own; one with a positive cap lies
-        ahead, since the cells still to place fit in rows j.. (suffix[j]).
-        """
-        while not caps[j]:
-            room += prev[j]
-            j += 1
-        hi = caps[j]
-        if remaining < hi:
-            hi = remaining
-        if room < hi:
-            hi = room
-        lo = remaining - suffix[j + 1]
-        if lo < 0:
-            lo = 0
-        old = grown[j]
-        for c in range(hi, lo - 1, -1):
-            counts[j] = c
-            grown[j] = old + c
-            if c == remaining:
-                # no later letter reads the last letter's strip counts
-                key = tuple(grown) if last else (tuple(grown), tuple(counts))
-                nxt[key] = nxt.get(key, 0) + mult
-            else:
-                place(j + 1, remaining - c, room - c + prev[j])
-        counts[j] = 0
-        grown[j] = old
-
-    try:
-        for letter, m in enumerate(q, 1):
-            last = letter == len(q)
-            nxt = {}
-            for (shape, prev), mult in states.items():
-                if slack + sum(prev[:-1]) < m:    # the ballot limit leaves too little room
-                    continue
-                # row 0 may grow to the width and row j to the old row above it;
-                # suffix[j] is what rows j.. can hold, to cut a branch that cannot finish
-                caps = [a - s for a, s in zip((width,) + shape, shape)]
-                suffix = list(accumulate(reversed(caps), initial=0))[::-1]
-                if suffix[0] >= m:
-                    grown[:] = shape
-                    place(0, m, slack)
-            states = nxt
-            slack = 0
-    except RecursionError:
-        # place recurses once per row that can grow; the recursion limit is a
-        # setting of the whole process, so it is not raised here
-        raise CapacityError(
-            f"a Littlewood-Richardson product of {rows} rows recurses too deep") from None
+    stack = []                       # (row, cells left, room, next c, least c)
+    push, pop = stack.append, stack.pop
+    for letter, m in enumerate(q, 1):
+        last = letter == len(q)
+        nxt = {}
+        for (shape, prev), mult in states.items():
+            # the caps below telescope: rows j.. can hold shape[j - 1] - bottom
+            # cells (width - bottom for j = 0).  The previous letter's cells
+            # in the last row open no row below it
+            bottom = shape[-1]
+            if slack + sum(prev) - prev[-1] < m or width - bottom < m:
+                continue
+            # row 0 may grow to the width and row j to the old row above it
+            caps = list(map(sub, (width,) + shape, shape))
+            grown[:] = shape
+            j, remaining, room = 0, m, slack
+            while True:
+                # open the next row with a cap and ballot room: `room` is
+                # `slack` plus the previous letter's cells in rows 0..j-1,
+                # less the cells placed there.  The check above keeps an
+                # open row ahead of every branch (row j + 1 can take the
+                # previous letter's cells in row j), so none dead-ends
+                while not caps[j] or not room:
+                    room += prev[j]
+                    j += 1
+                c = caps[j]
+                if remaining < c:
+                    c = remaining
+                if room < c:
+                    c = room
+                lo = remaining - shape[j] + bottom
+                if lo < 0:
+                    lo = 0
+                # put c cells in row j, for c from the most down to the
+                # least that the rows below leave; finished strips go into
+                # the next table, and a spent row resumes the frame above
+                while c >= lo or stack:
+                    if c < lo:
+                        counts[j] = 0
+                        grown[j] = shape[j]
+                        j, remaining, room, c, lo = pop()
+                        continue
+                    counts[j] = c
+                    grown[j] = shape[j] + c
+                    if c == remaining:
+                        # no later letter reads the last letter's strip counts
+                        key = tuple(grown) if last else (tuple(grown), tuple(counts))
+                        nxt[key] = nxt.get(key, 0) + mult
+                        c -= 1
+                        continue
+                    push((j, remaining, room, c - 1, lo))
+                    room += prev[j] - c
+                    remaining -= c
+                    j += 1
+                    break
+                else:
+                    counts[j] = 0
+                    break
+        states = nxt
+        slack = 0
     # a shape's zeros are its trailing rows: one slice drops them all
-    return {shape[:len(shape) - shape.count(0)]: mult for shape, mult in states.items()}
+    get = shape_table(len(states))
+    return {get(u, u): mult for shape, mult in states.items()
+            for u in [shape[:len(shape) - shape.count(0)]]}
 
 
 @lru_cache(maxsize=1 << 16)
@@ -194,8 +207,8 @@ def _lr_mult(p: Partition, q: Partition, row_bound: int,
     bind, so it is the unbounded product; the walk runs again only when a
     caller asks for more than the slot holds.  The answer may therefore hold
     constituents wider than `width`, and a caller that passes one drops
-    them.  The dict is the slot's own, so callers only read it; its shapes
-    are the shape table's tuples (young.share_shapes).  The 2**16 slots
+    them.  The dict is the slot's own, so callers only read it; it is the
+    kernel's, whose shapes are the shape table's tuples.  The 2**16 slots
     bound the memo.
     """
     slot = _lr_slot(p, q, row_bound)
@@ -203,7 +216,7 @@ def _lr_mult(p: Partition, q: Partition, row_bound: int,
     if width is None or width > full:
         width = full
     if slot[0] < width:
-        slot[1] = share_shapes(_lr_walk(p, q, row_bound, width))
+        slot[1] = _lr_walk(p, q, row_bound, width)
         slot[0] = width
     return slot[1]
 

@@ -8,11 +8,13 @@ on that canonical data.  BlockSetup is the one check of an (r, level,
 weights) triple; every function that works on a bundle takes one.  The
 pass that checks its weights also tallies the two numbers the vanishing
 bounds are made of: the critical level and the first-row sum.  rank_key
-is the one key both rank memos read a setup's weights by.  share_shapes
-is the one shape table: the values of the memos behind the two rank
-routes (schur._lr_mult's slots, cb.fusion_expand and cb._fuse) pass the
-shapes they store through it, so an equal shape is one tuple however many
-values hold it.  It is a dict, cleared before it would pass 2**16 entries.
+is the one key both rank memos read a setup's weights by.  shape_table
+hands out the one shape table's tuples: the LR kernel (schur._lr_walk)
+takes every shape it returns from it, so schur._lr_mult's slots and
+qgrass's products hold table tuples, and share_shapes passes the shapes
+that cb.fusion_expand and cb._fuse store through it, so an equal shape is
+one tuple however many values hold it.  It is a dict, cleared before it
+would pass 2**16 entries.
 
 Weights parse and print in the size of their diagram, not of r: a term
 m w_j of `2w1+w3` adds m cells to each of rows 1..j, so the diagram grows
@@ -163,28 +165,36 @@ def rank_key(weights: Iterable[SlWeight]) -> tuple:
     return tuple(sorted([w.parts for w in weights if w.parts]))
 
 
-# the table of share_shapes: each shape is its own key and value
+# the shape table: each shape is its own key and value
 _SHAPES: dict = {}
 _SHAPES_BOUND = 1 << 16
 
 
-def share_shapes(vector: dict) -> dict:
-    """A copy of the {shape: coefficient} `vector`, zero coefficients dropped,
-    whose keys are the shape table's one tuple of each shape.
+def shape_table(room: int):
+    """The setdefault of the shape table, with room made for `room` new
+    shapes: get(p, p) is the table's one tuple of the shape p.
 
     The rank memos keep their values for the life of the process, and their
     shapes recur from one value to the next; shared, an equal shape costs
     one tuple however many values hold it.  The table is cleared before it
-    would pass _SHAPES_BOUND entries, and a larger vector shares nothing,
-    so it never holds more; a shape made after a clear is an equal tuple,
-    not a wrong one.
+    would pass _SHAPES_BOUND entries, and a caller with more than that many
+    shapes gets a fresh dict's setdefault and shares nothing, so the table
+    never holds more; a shape made after a clear is an equal tuple, not a
+    wrong one.
     """
     table = _SHAPES
-    if len(table) + len(vector) > _SHAPES_BOUND:
+    if len(table) + room > _SHAPES_BOUND:
         table.clear()
-        if len(vector) > _SHAPES_BOUND:
+        if room > _SHAPES_BOUND:
             table = {}
-    get = table.setdefault
+    return table.setdefault
+
+
+def share_shapes(vector: dict) -> dict:
+    """A copy of the {shape: coefficient} `vector`, zero coefficients dropped,
+    whose keys are the shape table's one tuple of each shape (shape_table).
+    """
+    get = shape_table(len(vector))
     return {get(p, p): c for p, c in vector.items() if c}
 
 

@@ -1,8 +1,10 @@
 import importlib
 import re
+from itertools import combinations
 from pathlib import Path
 
 from cblocks import young
+from cblocks.schur import _lr_walk
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cblocks"
 
@@ -11,7 +13,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "cblocks"
 UNBOUNDED = set()
 
 # The module-level tables, each with its bound in entries: the shape table of
-# young.share_shapes is a dict that is cleared before it passes its bound.
+# young.shape_table is a dict that is cleared before it passes its bound.
 TABLES = {"young._SHAPES": 1 << 16}
 
 # every way of making a functools cache in the source: lru_cache(...), a bare
@@ -43,8 +45,9 @@ def test_every_cache_is_bounded_or_allowlisted():
 
 
 def _assert_the_shape_table_stays_bounded():
-    """Share more distinct shapes than the bound, in vectors of 1000 and in
-    one larger than the bound, and check the table's size after each."""
+    """Share more distinct shapes than the bound, in vectors of 1000, in one
+    larger than the bound and in an LR walk with more constituents than the
+    bound, and check the table's size after each."""
     saved = dict(young._SHAPES)
     bound = young._SHAPES_BOUND
     try:
@@ -53,6 +56,23 @@ def _assert_the_shape_table_stays_bounded():
             assert len(young._SHAPES) <= bound
         vector = {(i, 1): 1 for i in range(bound + 1)}
         assert young.share_shapes(vector) == vector
+        assert len(young._SHAPES) <= bound
+        # s_stairs * s_(3) in 77 variables: one constituent per horizontal
+        # strip of 3 cells (Pieri), a cells in row 1 and one in each of 3 - a
+        # of rows 2..76, 70,376 in all
+        stairs = list(range(75, 0, -1)) + [0]
+        pieri = set()
+        for a in range(4):
+            for strip in combinations(range(1, 76), 3 - a):
+                u = stairs[:]
+                u[0] += a
+                for i in strip:
+                    u[i] += 1
+                pieri.add(tuple(x for x in u if x))
+        assert len(pieri) > bound
+        young.share_shapes({(i, 2): 1 for i in range(1000)})    # the walk must clear these
+        walked = _lr_walk(tuple(stairs[:-1]), (3,), 77)
+        assert set(walked) == pieri and set(walked.values()) == {1}
         assert len(young._SHAPES) <= bound
     finally:
         young._SHAPES.clear()

@@ -107,8 +107,14 @@ def _box(rows, width):
 
 # the examples reach each early return: p or q with too many rows, p or q
 # with a row wider than `width`, a box too small to hold the cells, and an
-# empty factor
+# empty factor.  The last three reach the strip walk's closed rows, which
+# have a cap but no ballot room: the second letter's strip opening below
+# two of them, a row closed in the middle of a strip, and a `width` that
+# clips the product of three letters
 @settings(max_examples=300)
+@example((2, 1), (1, 1), 4, None)
+@example((2, 2), (2, 2), 4, None)
+@example((3, 2, 1), (2, 2, 1), 5, 4)
 @example((1, 1, 1), (1,), 2, None)
 @example((1,), (1, 1, 1), 2, None)
 @example((3,), (1,), 3, 2)
@@ -378,13 +384,16 @@ def test_the_rank_memo_returns_0_where_r_plus_1_does_not_divide_the_total():
     assert _coinvariant_rank.__wrapped__(3, ((2, 1), (2, 2, 1), (3,))) == 0
 
 
-def test_a_walk_deeper_than_the_recursion_limit_is_refused():
-    # place recurses once per row that can grow: all 5001 rows here, while
-    # 501 stay inside the interpreter's default limit
-    with pytest.raises(CapacityError):
-        _lr_walk(tuple(range(5000, 0, -1)), (1,), 5002)
-    stairs = _lr_walk(tuple(range(500, 0, -1)), (1,), 502)
-    assert len(stairs) == 501 and set(stairs.values()) == {1}
+def test_a_walk_taller_than_the_recursion_limit_is_answered():
+    # the staircase times a box grows each of its rows, one per addable
+    # corner (Pieri); the strips are walked on the kernel's own stack, so
+    # 1501 rows, past the interpreter's default recursion limit, are answered
+    for n in (500, 1500):
+        rows = tuple(range(n, 0, -1)) + (0,)
+        corners = {partition(rows[:i] + (rows[i] + 1,) + rows[i + 1:]) for i in range(n + 1)}
+        stairs = _lr_walk(rows[:n], (1,), n + 2)
+        assert len(stairs) == n + 1 and set(stairs.values()) == {1}
+        assert set(stairs) == corners
 
 
 def test_invariant_oracle_examples():

@@ -1,11 +1,12 @@
-"""One tuple per shape in the rank memos' values (young.share_shapes).
+"""One tuple per shape in the rank memos' values (young.shape_table).
 
 The LR slots (schur._lr_mult), the fusion products (cb.fusion_expand) and
 the half vectors (cb._fuse) live as long as the process, and their shapes
-recur from one value to the next.  Each of the three passes the shapes it
-makes through the one shape table, so an equal shape is one tuple however
-many values hold it.  The table is cleared before it passes its bound, and
-a shape made after a clear is an equal tuple, so clearing changes no answer.
+recur from one value to the next.  The LR kernel (schur._lr_walk) hands out
+the one shape table's tuples, and cb passes the shapes it makes through
+young.share_shapes, so an equal shape is one tuple however many values hold
+it.  The table is cleared before it passes its bound, and a shape made after
+a clear is an equal tuple, so clearing changes no answer.
 """
 
 from pathlib import Path
@@ -61,6 +62,7 @@ def _answers():
 def test_every_shape_the_rank_memos_hold_is_one_tuple(monkeypatch):
     _cold()    # before the wrappers hide the caches from it
     held = {}
+    slots = {}
 
     def recording(module, name):
         real = getattr(module, name)
@@ -68,6 +70,8 @@ def test_every_shape_the_rank_memos_hold_is_one_tuple(monkeypatch):
         def wrapper(*args):
             value = real(*args)
             held[id(value)] = value
+            if name == "_lr_slot":
+                slots[args] = value
             return value
         monkeypatch.setattr(module, name, wrapper)
 
@@ -77,6 +81,9 @@ def test_every_shape_the_rank_memos_hold_is_one_tuple(monkeypatch):
     shapes = [p for value in held.values()
               for p in (value[1] if isinstance(value, list) else value)]
     assert len(shapes) > 1000
+    # a product with an empty factor is the kernel's early return
+    early = [value[1] for (p, q, _), value in slots.items() if not p or not q]
+    assert early and all(young._SHAPES[u] is u for value in early for u in value)
     assert len({id(p) for p in shapes}) == len(set(shapes))
     assert all(young._SHAPES[p] is p for p in shapes)
 
@@ -88,17 +95,18 @@ def test_clearing_the_shape_table_changes_no_answer(monkeypatch):
     # vector larger than the bound is shared with nothing
     bound = 12
     monkeypatch.setattr(young, "_SHAPES_BOUND", bound)
-    real = young.share_shapes
+    real = young.shape_table
     sizes = []
 
-    def watched(vector):
-        value = real(vector)
+    def watched(room):
+        # the table's size once the previous caller's shapes are in
         sizes.append(len(young._SHAPES))
-        return value
-    monkeypatch.setattr(schur, "share_shapes", watched)
-    monkeypatch.setattr(cb, "share_shapes", watched)
+        return real(room)
+    monkeypatch.setattr(schur, "shape_table", watched)
+    monkeypatch.setattr(young, "shape_table", watched)
     _cold()
     assert _answers() == expected
+    sizes.append(len(young._SHAPES))
     assert max(sizes) <= bound
     assert any(b < a for a, b in zip(sizes, sizes[1:]))    # the table was cleared
     _cold()
