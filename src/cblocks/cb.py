@@ -15,10 +15,14 @@ Two independent rank algorithms are kept deliberately separate:
   only subtracts its last row and counts it with sign +1; the reflection
   loop sees the rest.  The contraction vectors are keyed by normalised
   parts tuples, the dual is taken on those tuples, and the cached fusion
-  products (fusion_expand) are {parts: coeff} dicts.  The shapes that
-  fusion_expand and _fuse store pass through young.share_shapes, and the
-  LR kernel hands out the same table's tuples, so a shape that many
-  entries hold is one tuple.
+  products (fusion_expand) are {parts: coeff} dicts.  fusion_expand's
+  normal form of an in-alcove constituent, and the dual in _cb_rank's
+  pairing and degree_m04's split terms (the complement in the first-row
+  strip), come from young.shape_forms: memoised when the call's box, r+1
+  rows by the widest first row it meets, is small, the formulas otherwise.
+  The shapes that fusion_expand and _fuse store pass through
+  young.share_shapes, and the LR kernel and the memos hand out the same
+  table's tuples, so a shape that many entries hold is one tuple.
   degree_m04 reads each split's two-point vectors from _fuse, so it asks
   fusion_expand as the contraction does (at the clipped level, the pair in
   _fuse's order) and reuses its entries; it takes the conformal weight of
@@ -74,7 +78,7 @@ from itertools import combinations_with_replacement
 from .errors import ConsistencyError, DomainError
 from .schur import _coinvariant_rank, _lr_mult
 from .young import (
-    BlockSetup, Partition, SlWeight, dual_parts, dual_star, share_shapes, transpose)
+    BlockSetup, Partition, SlWeight, dual_star, shape_forms, share_shapes, transpose)
 
 
 def level_weights(r: int, level: int) -> tuple:
@@ -142,13 +146,15 @@ def fusion_expand(r: int, level: int, p: Partition, q: Partition) -> dict[Partit
     those levels.  The 2**16 entries bound the cache.
     """
     acc: dict[Partition, int] = {}
-    for u, mult in _lr_mult(p, q, r + 1).items():
+    rows = r + 1
+    normal = shape_forms(rows, (p[0] if p else 0) + (q[0] if q else 0))[0]
+    for u, mult in _lr_mult(p, q, rows).items():
         last = u[r] if len(u) > r else 0
         if not u or u[0] - last <= level:
             # rho-shifted tuple strictly decreasing with spread < level + r + 1:
             # already in the alcove, so only the last row comes off
             if last:
-                u = tuple([x - last for x in u if x > last])
+                u = normal(u, rows)
             acc[u] = acc.get(u, 0) + mult
             continue
         red = _alcove_reduce(u, r, level)
@@ -211,9 +217,12 @@ def _cb_rank(r: int, level: int, parts: tuple) -> int:
     """
     left = _fuse(r, level, parts[0::2])
     right = _fuse(r, level, parts[1::2])
+    rows = r + 1
+    complement = shape_forms(rows, level)[1]
     total = 0
     for mu, c in left.items():
-        total += c * right.get(dual_parts(mu, r), 0)
+        # mu* is dual_parts(mu, r)
+        total += c * right.get(complement(mu, rows, mu[0] if mu else 0), 0)
     return total
 
 
@@ -401,11 +410,13 @@ def degree_m04(setup: BlockSetup) -> DegreeBreakdown:
     parts = [w.parts for w in setup.weights]
     bulk = rep.rank_cb * sum(_conformal_weight(r, level, p) for p in parts)
     pairings = []
+    complement = shape_forms(r + 1, level)[1]
     for (ia, ib), (ic, id_) in _SPLITS:
         ab = _fuse(r, level, (parts[ia], parts[ib]))
         term = Fraction(0)
         for mu, n_cd in _fuse(r, level, (parts[ic], parts[id_])).items():
-            n_ab = ab.get(dual_parts(mu, r), 0)
+            # mu* is dual_parts(mu, r)
+            n_ab = ab.get(complement(mu, r + 1, mu[0] if mu else 0), 0)
             if n_ab:
                 term += _conformal_weight(r, level, mu) * n_ab * n_cd
         pairings.append(term)

@@ -28,10 +28,12 @@ when the ballot limit or the free cells leave too little room for the
 letter; after that check every opened branch finishes, since row j + 1
 can always take the previous letter's cells in row j.  The last letter's
 states are keyed by shape alone, since no later letter reads their strip
-counts.  Every constituent leaves the kernel canonical (trailing zeros
-dropped) and as the shape table's tuple (young.shape_table), so every
-caller, qgrass included, gets one tuple per shape and uses it without
-validating it again.  Passing `width` keeps only the constituents whose
+counts, and are cut after the shape's last non-zero row or the letter's
+last cell, whichever comes lower, so the kernel holds each constituent
+once, not as a padded and a cut copy.  Every constituent leaves the kernel
+canonical (trailing zeros dropped) and as the shape table's tuple
+(young.shape_table), so every caller, qgrass included, gets one tuple per
+shape and uses it without validating it again.  Passing `width` keeps only the constituents whose
 first row is at most `width`, and clips every intermediate shape to it
 too, which is exact because a product never shrinks a shape.
 
@@ -56,7 +58,10 @@ the product of the normalised shape with q, each constituent shifted by
 c columns, and it lies in the box exactly when the unshifted constituent
 lies in the box c columns narrower.
 The step asks _lr_mult for the product at that narrower width and drops
-what lies outside it.  The box binds only when u[0] + q[0] exceeds the full
+what lies outside it.  The normal form before the step, the column shift
+after it and the pairing's complement come from young.shape_forms of the
+(r+1) x width box: their memos on a box small enough, their formulas
+otherwise.  The box binds only when u[0] + q[0] exceeds the full
 width; otherwise the ask is the unbounded product.  Either way the step
 reads the slot that the fusion route fills, since it too multiplies
 normalised shapes, deals the points into the same halves and orders each
@@ -90,7 +95,7 @@ from collections.abc import Sequence
 
 from .errors import CapacityError, DomainError
 from .young import (
-    Partition, SlWeight, box_complement, partition, rank_key, row, shape_table)
+    Partition, SlWeight, partition, rank_key, row, shape_forms, shape_table)
 
 
 def _lr_walk(p: Partition, q: Partition, row_bound: int,
@@ -134,6 +139,10 @@ def _lr_walk(p: Partition, q: Partition, row_bound: int,
             bottom = shape[-1]
             if slack + sum(prev) - prev[-1] < m or width - bottom < m:
                 continue
+            if last:
+                # a leaf of this state is non-zero in the state's non-zero
+                # rows and down to its last cell's row, and in no others
+                filled = len(shape) - shape.count(0)
             # row 0 may grow to the width and row j to the old row above it
             caps = list(map(sub, (width,) + shape, shape))
             grown[:] = shape
@@ -167,8 +176,14 @@ def _lr_walk(p: Partition, q: Partition, row_bound: int,
                     counts[j] = c
                     grown[j] = shape[j] + c
                     if c == remaining:
-                        # no later letter reads the last letter's strip counts
-                        key = tuple(grown) if last else (tuple(grown), tuple(counts))
+                        # no later letter reads the last letter's strip
+                        # counts, and its shape is keyed without its zero
+                        # rows, as it leaves the kernel, so it is made once
+                        if last:
+                            n = j + 1 if j >= filled else filled
+                            key = tuple(grown) if n == rows else tuple(grown[:n])
+                        else:
+                            key = (tuple(grown), tuple(counts))
                         nxt[key] = nxt.get(key, 0) + mult
                         c -= 1
                         continue
@@ -182,10 +197,8 @@ def _lr_walk(p: Partition, q: Partition, row_bound: int,
                     break
         states = nxt
         slack = 0
-    # a shape's zeros are its trailing rows: one slice drops them all
     get = shape_table(len(states))
-    return {get(u, u): mult for shape, mult in states.items()
-            for u in [shape[:len(shape) - shape.count(0)]]}
+    return {get(u, u): mult for u, mult in states.items()}
 
 
 @lru_cache(maxsize=1 << 16)
@@ -256,10 +269,12 @@ def _coinvariant_rank(r: int, parts: tuple) -> int:
         return 0
     left = _coinvariant_half(r, width, parts[0::2])
     right = left if parts[1::2] == parts[0::2] else _coinvariant_half(r, width, parts[1::2])
+    rows = r + 1
+    complement = shape_forms(rows, width)[1]
     rank = 0
     for u, mult in left.items():
         # s_u * s_v reaches the box shape exactly when v is u's complement in it
-        rank += mult * right.get(box_complement(u, r + 1, width), 0)
+        rank += mult * right.get(complement(u, rows, width), 0)
     return rank
 
 
@@ -271,19 +286,21 @@ def _coinvariant_half(r: int, width: int, half: tuple) -> dict[Partition, int]:
     # _lr_mult walks inside the box unless its slot already holds a wider
     # product.  A shape's c full columns come off before the product and go
     # back on after
+    rows = r + 1
+    normal, _, shift = shape_forms(rows, width)
     acc = {half[0] if half else (): 1}
     for q in half[1:]:
         nxt: dict[Partition, int] = {}
         for shape, mult in acc.items():
             c = shape[r] if len(shape) > r else 0
-            base = tuple([x - c for x in shape if x > c]) if c else shape
+            base = normal(shape, rows) if c else shape
             a, b = (base, q) if base <= q else (q, base)
             fit = width - c
-            for u, m in _lr_mult(a, b, r + 1, fit).items():
+            for u, m in _lr_mult(a, b, rows, fit).items():
                 if u and u[0] > fit:
                     continue    # from a slot walked wider than this box
                 if c:
-                    u = tuple([x + c for x in u]) + (c,) * (r + 1 - len(u))
+                    u = shift(u, rows, c)
                 nxt[u] = nxt.get(u, 0) + mult * m
         acc = nxt
     return acc

@@ -16,6 +16,17 @@ that cb.fusion_expand and cb._fuse store through it, so an equal shape is
 one tuple however many values hold it.  It is a dict, cleared before it
 would pass 2**16 entries.
 
+The rank routes make three forms of a shape once per constituent:
+normal_form drops the full columns of an (r+1)-row shape, box_complement
+pairs a shape with its complement in a box (dual_parts is its case of the
+first-row strip), and column_shift adds c full columns back.  Each has one
+formula, and one memo of 2**16 entries that wraps it.  shape_forms hands a
+call the memos when the box its shapes live in holds at most that many
+shapes, comb(rows + width, rows), and the formulas otherwise: on a tall or
+wide box the shapes seldom recur, and would only push out the small ones
+that do.  A memo's values are the shape table's tuples, since a memo keeps
+them for the life of the process and the rank memos' values hold them too.
+
 Weights parse and print in the size of their diagram, not of r: a term
 m w_j of `2w1+w3` adds m cells to each of rows 1..j, so the diagram grows
 only as far as the largest j written with m > 0, and weight_text reads
@@ -26,6 +37,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Sequence
+from functools import lru_cache
 from itertools import accumulate
 
 from .errors import CapacityError, DomainError, ParseError
@@ -81,11 +93,8 @@ class SlWeight:
         if len(ps) > rank + 1:
             raise DomainError(
                 f"{ps} has {len(ps)} rows, more than sl_{rank + 1} allows")
-        if len(ps) == rank + 1:
-            last = ps[-1]
-            ps = partition(x - last for x in ps)
         self.rank = rank
-        self.parts = ps
+        self.parts = normal_form(ps, rank + 1)
 
     def __eq__(self, other):
         if other.__class__ is not SlWeight:
@@ -139,6 +148,19 @@ def box_complement(p: Partition, rows: int, width: int) -> Partition:
     if not width:
         return ()
     return (width,) * (rows - len(p)) + tuple([width - x for x in reversed(p) if x < width])
+
+
+def normal_form(p: Partition, rows: int) -> Partition:
+    """p (at most `rows` rows) less its c full columns, c its rows-th row:
+    in `rows` variables s_p = det^c * s_{normal_form(p)}."""
+    c = p[rows - 1] if len(p) >= rows else 0
+    return tuple([x - c for x in p if x > c]) if c else p
+
+
+def column_shift(p: Partition, rows: int, c: int) -> Partition:
+    """p (at most `rows` rows) with c full columns of `rows` cells added:
+    normal_form's inverse, the shape of det^c * s_p."""
+    return tuple([x + c for x in p]) + (c,) * (rows - len(p))
 
 
 def dual_parts(mu: Partition, r: int) -> Partition:
@@ -196,6 +218,53 @@ def share_shapes(vector: dict) -> dict:
     """
     get = shape_table(len(vector))
     return {get(p, p): c for p, c in vector.items() if c}
+
+
+# the bound of each shape-form memo, in entries
+_FORMS_BOUND = 1 << 16
+
+
+@lru_cache(maxsize=_FORMS_BOUND)
+def _normal_memo(p: Partition, rows: int) -> Partition:
+    """normal_form, as the shape table's tuple."""
+    u = normal_form(p, rows)
+    return shape_table(1)(u, u)
+
+
+@lru_cache(maxsize=_FORMS_BOUND)
+def _complement_memo(p: Partition, rows: int, width: int) -> Partition:
+    """box_complement, as the shape table's tuple."""
+    u = box_complement(p, rows, width)
+    return shape_table(1)(u, u)
+
+
+@lru_cache(maxsize=_FORMS_BOUND)
+def _shift_memo(p: Partition, rows: int, c: int) -> Partition:
+    """column_shift, as the shape table's tuple."""
+    u = column_shift(p, rows, c)
+    return shape_table(1)(u, u)
+
+
+def shape_forms(rows: int, width: int) -> tuple:
+    """(normal_form, box_complement, column_shift) for the shapes of the
+    rows x width box: the memos of the three when the box holds at most
+    _FORMS_BOUND shapes, and the formulas themselves otherwise.
+
+    The box holds comb(rows + width, rows) shapes.  A caller asks once per
+    call, with the widest first row the call can meet, and reads the forms
+    it gets for every constituent.
+    """
+    # comb(n - k + i, i) for i = 1..k, k = min(rows, width), n = rows +
+    # width: it at least doubles at each step, so it passes the bound in
+    # at most 17 steps however large the box, and ends at comb(n, k)
+    k = min(rows, width)
+    m = rows + width - k
+    count = 1
+    for i in range(1, k + 1):
+        count = count * (m + i) // i
+        if count > _FORMS_BOUND:
+            return normal_form, box_complement, column_shift
+    return _normal_memo, _complement_memo, _shift_memo
 
 
 class BlockSetup:

@@ -12,6 +12,10 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "cblocks"
 # from this list; nothing is added to it.
 UNBOUNDED = set()
 
+# The shape-form memos of young.shape_forms, each bounded at the 2**16
+# shapes that young.shape_forms lets a box hold before it stops using them.
+FORM_MEMOS = {"young._normal_memo", "young._complement_memo", "young._shift_memo"}
+
 # The module-level tables, each with its bound in entries: the shape table of
 # young.shape_table is a dict that is cleared before it passes its bound.
 TABLES = {"young._SHAPES": 1 << 16}
@@ -38,6 +42,8 @@ def test_every_cache_is_bounded_or_allowlisted():
                    if type(value) in (dict, list, set) and not name.startswith("__")}
     unbounded = {name for name, maxsize in found.items() if maxsize is None}
     assert unbounded == UNBOUNDED
+    assert {name: found.get(name) for name in FORM_MEMOS} == dict.fromkeys(FORM_MEMOS, 1 << 16)
+    assert young._FORMS_BOUND == 1 << 16
     # a table the scan finds is one that holds state between calls
     assert tables == set(TABLES)
     assert young._SHAPES_BOUND == TABLES["young._SHAPES"]

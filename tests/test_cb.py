@@ -413,6 +413,23 @@ def test_fusion_sizes_hide_nothing_from_the_divisibility_shortcut():
     assert _fuse(2, 2, ()) == {(): 1}
 
 
+def test_a_half_vector_counts_the_blocks_of_the_half_and_each_dual():
+    # F[mu] for the half's fusion vector F is the rank of the half with mu*
+    # added: the factorization rule at the middle node that cb_rank's
+    # pairing reads, checked for every alcove mu
+    checked = 0
+    for r, level in product((1, 2), (1, 2, 3)):
+        alcove = level_weights(r, level)
+        for n in range(4):
+            for half in combinations_with_replacement(alcove[1:], n):
+                vector = _fuse(r, level, tuple(w.parts for w in half))
+                for mu in alcove:
+                    rank = cb_rank(BlockSetup(r, level, half + (dual_star(mu),)))
+                    assert vector.get(mu.parts, 0) == rank, (r, level, half, mu)
+                    checked += 1
+    assert checked == 2684
+
+
 @settings(deadline=None, max_examples=60)
 @given(weight_tuples(max_rank=2, max_level=3, max_points=6))
 def test_cb_equals_witten(rlw):

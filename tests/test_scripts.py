@@ -65,3 +65,13 @@ def test_search_refuses_an_empty_range_or_a_negative_count(bad):
     done = subprocess.run([sys.executable, script] + bad, capture_output=True, text=True)
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr.splitlines()[-1].startswith("search_rank_equality.py: error: --")
+
+
+def test_large_inputs_runs_its_smallest_row():
+    script = str(REPO / "scripts" / "large_inputs.py")
+    done = subprocess.run([sys.executable, script, "staircase_1200"],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    line, = done.stdout.splitlines()
+    assert re.fullmatch(r"staircase_1200 +exit 0  wall +[\d.]+ s  cpu +[\d.]+ s  "
+                        r"max_rss +[\d.]+ MB  \| rank_classical 0", line), line

@@ -13,7 +13,8 @@ from pathlib import Path
 
 from cblocks import cb, schur, young
 from cblocks.cb import degree_m04, vanishing_report
-from cblocks.young import BlockSetup, parse_weight_list
+from cblocks.schur import coinvariant_rank
+from cblocks.young import BlockSetup, SlWeight, parse_weight_list
 
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
 
@@ -39,8 +40,8 @@ SETUPS = _readme_setups() + [
 
 
 def _cold():
-    """Empty every functools cache of cb and schur, and the shape table."""
-    for module in (cb, schur):
+    """Empty every functools cache of cb, schur and young, and the shape table."""
+    for module in (cb, schur, young):
         for value in vars(module).values():
             if hasattr(value, "cache_clear") and value.__module__ == module.__name__:
                 value.cache_clear()
@@ -109,4 +110,46 @@ def test_clearing_the_shape_table_changes_no_answer(monkeypatch):
     sizes.append(len(young._SHAPES))
     assert max(sizes) <= bound
     assert any(b < a for a, b in zip(sizes, sizes[1:]))    # the table was cleared
+    _cold()
+
+
+FORM_MEMOS = ("_normal_memo", "_complement_memo", "_shift_memo")
+
+
+def test_clearing_the_shape_form_memos_changes_no_answer(monkeypatch):
+    _cold()
+    expected = _answers()
+    # every read of a memo first empties all three, so each form is made anew
+    memos = [getattr(young, name) for name in FORM_MEMOS]
+    reads = dict.fromkeys(FORM_MEMOS, 0)
+
+    def clearing(name, memo):
+        def read(*args):
+            reads[name] += 1
+            for each in memos:
+                each.cache_clear()
+            return memo(*args)
+        return read
+    for name, memo in zip(FORM_MEMOS, memos):
+        monkeypatch.setattr(young, name, clearing(name, memo))
+    _cold()
+    assert _answers() == expected
+    assert all(reads.values()), reads
+    _cold()
+
+
+def test_a_box_above_the_memo_bound_leaves_the_shape_form_memos_empty():
+    _cold()
+    # sl3, six 50w1: the classical route's 3 x 100 box holds 176,851 shapes
+    assert coinvariant_rank(2, (SlWeight(2, (50,)),) * 6) == 586976
+    # the 300-row staircase with w1 and w300 at level 300, both routes
+    stairs = SlWeight(300, range(300, 0, -1))
+    setup = BlockSetup(300, 300, (stairs, SlWeight(300, (1,)), SlWeight(300, (1,) * 300)))
+    rep = vanishing_report(setup)
+    assert (rep.rank_cb, rep.rank_classical) == (0, 0)
+    assert [getattr(young, name).cache_info().currsize for name in FORM_MEMOS] == [0, 0, 0]
+    # a small box fills them: halves of three diagrams, so the classical
+    # route also shifts columns
+    vanishing_report(BlockSetup(3, 7, parse_weight_list("[2,1],[2,2],[2,2],[3,2,1],[3,3],[3,2]", 3)))
+    assert all(getattr(young, name).cache_info().currsize for name in FORM_MEMOS)
     _cold()

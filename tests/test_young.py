@@ -1,20 +1,25 @@
 import tracemalloc
+from math import comb
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cblocks import young
 from cblocks.errors import CapacityError, DomainError, ParseError
 from cblocks.young import (
     BlockSetup,
     SlWeight,
     box_complement,
+    column_shift,
     conjugate,
     dual_star,
     fits_level,
+    normal_form,
     parse_weight,
     parse_weight_list,
     partition,
+    shape_forms,
     theta_pairing,
     transpose,
     weight_text,
@@ -139,6 +144,42 @@ def test_transpose_involution(rlw):
 def test_box_complement_matches_the_padded_formula(p, more_rows, more_width):
     rows, width = len(p) + more_rows, (p[0] if p else 0) + more_width
     assert box_complement(p, rows, width) == padded_box_complement(p, rows, width)
+
+
+@given(boxed_partitions(), st.integers(min_value=0, max_value=3),
+       st.integers(min_value=0, max_value=3))
+def test_each_memoised_shape_form_equals_its_formula(p, more_rows, more_width):
+    rows, width = max(len(p) + more_rows, 1), (p[0] if p else 0) + more_width
+    normal, complement, shift = shape_forms(rows, width)
+    assert normal is young._normal_memo and shift is young._shift_memo
+    # a memo's value is the shape table's tuple of the formula's; cleared
+    # first, since a value kept from before a clear of the table is an
+    # equal tuple that the table no longer holds
+    for memo in (normal, complement, shift):
+        memo.cache_clear()
+    for value, expected in (
+            (complement(p, rows, width), padded_box_complement(p, rows, width)),
+            (normal(p, rows), normal_form(p, rows)),
+            (shift(p, rows, more_width), column_shift(p, rows, more_width))):
+        assert value == expected and young._SHAPES[value] is value
+    # s_p = det^c * s_normal(p) in `rows` variables: the normal form is p
+    # without its columns of `rows` cells, and the shift puts them back
+    assert normal_form(p, rows) == conjugate(tuple(h for h in conjugate(p) if h < rows))
+    if len(p) == rows:
+        assert column_shift(normal_form(p, rows), rows, p[-1]) == p
+
+
+def test_shape_forms_are_memoised_on_boxes_of_at_most_the_bound_shapes():
+    plain = (normal_form, box_complement, column_shift)
+    bound = young._FORMS_BOUND
+    for rows in range(1, 40):
+        for width in range(0, 300, 7):
+            memoised = shape_forms(rows, width) != plain
+            assert memoised == (comb(rows + width, rows) <= bound), (rows, width)
+    # the classical box of six 50w1 in sl3 is above the bound, and so are the
+    # boxes of the tall and the staircase inputs
+    assert shape_forms(3, 50) != plain and shape_forms(3, 100) == plain
+    assert shape_forms(10 ** 6 + 1, 1) == plain and shape_forms(301, 301) == plain
 
 
 @given(sl_weights())
