@@ -47,6 +47,12 @@ from cblocks.schur import coinvariant_rank
 from cblocks.young import SlWeight
 print(coinvariant_rank(2, (SlWeight(2, (200,)),) * 6))
 """),
+    # the quantum route on six (100) one level below critical: a wide box
+    "six100_witten": ("python", """\
+from cblocks.cb import witten_rank
+from cblocks.young import BlockSetup, SlWeight
+print(witten_rank(BlockSetup(2, 199, (SlWeight(2, (100,)),) * 6)))
+"""),
     # the README's sl5 ten-point input, all three routes
     "sl5_ten": ("cli", ["rank", "--r", "4", "--level", "6", "--weights",
                         "w1+w2+w4,w1+2w4,3w1+w2+w4,3w1+w3+w4,2w1,w2+2w3+3w4,"

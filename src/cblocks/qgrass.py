@@ -8,9 +8,9 @@ n, each removal costing one power of q and a sign.
 Every map the route makes on a class is a map on its first-column hook
 lengths ("beta numbers"): the shape with rows p^(1) >= ... >= p^(k) becomes
 the strictly decreasing list {p^(a) + k - a}.  Rim hooks take the betas to
-their residues mod n, T^j shifts each by -j mod n, and Poincare duality
-sends b to n - 1 - b.  _betas and _shape are the one conversion each way,
-and the removal loop, the rotations and the dual all use them.  Removing an n-rim-hook starting in row a is exactly
+their residues mod n and T^j shifts each by -j mod n.  _betas and _shape
+are the one conversion each way, and the removal loop and the rotations use
+them.  Removing an n-rim-hook starting in row a is exactly
 replacing beta_a by beta_a - n, legal when that value is free; the hook's
 height is one plus the number of betas passed on the way down.  The class is
 zero precisely when two betas collide modulo n, and the signed result does
@@ -37,32 +37,45 @@ length 2).  Each shape p has its orbit data (p0, a, e): p0 is the smallest
 shape of its T-orbit by (size, shape) and T^a sigma_p0 = q^e sigma_p.  No
 rotation table is kept: T^j is one closed form on the betas (_rotate, with
 q^(j - #{b < j})), and a step shrinks the shape only when 0 is free, so the
-smallest shapes sit at the k rotations j that are betas, and _orbit builds
-only those, outside _rotate's cache, which keeps only the rotations that
-are read back.
+smallest shapes sit at the k rotations j that are betas.  _orbit reads
+their sizes off p's one list of k rows, which is the beta list less the
+staircase k - a, and builds only the smallest shapes from it: at the beta
+of row i every row loses p^(i), the rows below i move to the top with n - k
+added, and the q power is p^(i).  _rotate's cache keeps only the rotations
+that are read back.
 
 Products run in orbit coordinates: a key (u0, rot, deg) stands for
 q^deg T^rot sigma_u0, u0 a representative and 0 <= rot < n, with T^n =
 q^(n-k).  Multiplying two keys adds rotations and degrees and multiplies
 the representatives: an LR expansion reduced by rim hooks and re-expressed
-in orbit coordinates, cached once per unordered pair (_orbit_mult).  The
-orbit of () holds the unit, sigma_(n-k) and its powers, so a factor with
-representative () is a rotation with no LR product.  A term leaves orbit
-coordinates once, through _rotate, when quantum_product returns
-or gw_invariant pairs its two halves; its q degree must then come out
-non-negative.
+in orbit coordinates, cached once per unordered pair (_orbit_mult), whose
+terms take their orbits from _orbit's body outside its cache and their
+representatives from the shape table (young.shape_table).  The one product
+step, _orbit_step, multiplies a class by one key: every rotation is below
+n, so a sum of three passes n at most twice, each pass one full turn
+q^(n-k).  gw_invariant takes one step per class it deals, and
+quantum_product one per key of its second factor.  The orbit of () holds
+the unit, sigma_(n-k) and its powers, so a factor with representative ()
+is a rotation with no LR product.  A term leaves orbit coordinates once,
+through _rotate, when quantum_product returns or gw_invariant pairs its
+two halves; its q degree must then come out non-negative.
 
-gw_invariant contracts its classes in two halves (Bertram, Ciocan-Fontanine
-and Fulton, "Quantum multiplication of Schur polynomials", 1999, for the
-pairing).  Every class in the orbit of () is a rotation, so they all fold
-into one starting key ((), rot mod n, deg + turns (n-k)) with no product.
-The other classes are sorted and dealt alternately into two halves, as the
-two classical rank routes deal their diagrams, and each half is contracted
-in orbit coordinates and taken out of them.  Since <sigma_u, sigma_v, 1>_e
-is 1 when e = 0 and v is the Poincare dual u^ of u, and 0 otherwise, the
-q^d point-class coefficient of the whole product is the sum of
-L[u, i] R[u^, d - i] over the left half's terms.  The dual is taken on beta
-numbers, b -> n - 1 - b.
+gw_invariant works on the multiset of its classes: it tallies them by
+their spelling, and checks, conjugates and looks up each distinct class
+once, however often it repeats (witten_rank adds s copies of the level
+class).  It contracts them in two halves (Bertram, Ciocan-Fontanine and
+Fulton, "Quantum multiplication of Schur polynomials", 1999, for the
+pairing).  Every class in the orbit of () is a rotation, so all of them,
+each times its multiplicity, fold into one starting key ((), rot mod n,
+deg + turns (n-k)) with no product.  The other classes are sorted, each
+repeated as often as it occurs, and dealt alternately into two halves, as
+the two classical rank routes deal their diagrams, and each half is
+contracted in orbit coordinates and taken out of them.  Since
+<sigma_u, sigma_v, 1>_e is 1 when e = 0 and v is the Poincare dual u^ of
+u, and 0 otherwise, the q^d point-class coefficient of the whole product
+is the sum of L[u, i] R[u^, d - i] over the left half's terms.  The dual of
+u is its complement in the k x (n-k) box (on betas, b -> n - 1 - b), read
+through young.shape_forms as the two rank routes pair their halves.
 
 gw_invariant also chooses the box.  Gr(k, n) and Gr(n - k, n) have
 isomorphic quantum rings through sigma_p -> sigma_p^T, so once the classes
@@ -74,13 +87,13 @@ Gr(2000, 2001), for one, runs in Gr(1, 2001).
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Sequence
 from functools import lru_cache
 
 from .errors import ConsistencyError, DomainError
 from .schur import _lr_walk
-from .young import Partition, conjugate, fits_box, partition
+from .young import Partition, conjugate, fits_box, partition, shape_forms, shape_table
 
 
 class GrassmannBox(namedtuple("GrassmannBox", "k n")):
@@ -108,10 +121,7 @@ def _betas(p: Partition, k: int) -> list[int]:
 
 def _shape(betas: list[int], k: int) -> Partition:
     """The partition of k descending beta numbers, zero rows dropped."""
-    shape = [x - k + a for a, x in enumerate(betas, start=1)]
-    while shape and not shape[-1]:
-        shape.pop()
-    return tuple(shape)
+    return tuple([x - k + a for a, x in enumerate(betas, start=1) if x > k - a])
 
 
 def rim_hook_reduce(p: Partition, box: GrassmannBox):
@@ -124,8 +134,7 @@ def rim_hook_reduce(p: Partition, box: GrassmannBox):
     if not p or p[0] <= n - k:
         return p, 0, 1
     betas = _betas(p, k)
-    d = 0
-    sign = 1
+    d = flips = 0
     while betas[0] >= n:
         b = betas[0] - n
         # j: first position holding a beta at most b; the hook passes 1..j-1
@@ -134,11 +143,10 @@ def rim_hook_reduce(p: Partition, box: GrassmannBox):
             j += 1
         if j < k and betas[j] == b:
             return None
-        if (k - j) % 2:
-            sign = -sign
+        flips += k - j
         betas[:j] = betas[1:j] + [b]
         d += 1
-    return _shape(betas, k), d, sign
+    return _shape(betas, k), d, -1 if flips % 2 else 1
 
 
 class QClass(namedtuple("QClass", "box terms")):
@@ -192,50 +200,57 @@ def _orbit(p: Partition, box: GrassmannBox) -> tuple:
     q^e sigma_p with 0 <= a < n.  A T step shrinks the shape by k when it
     finds 0 free and grows it by n - k when 0 is a beta, so T^j sigma_p has
     size |p| + n #{b < j} - kj, and the smallest shapes sit at the j that
-    are betas of p: of those k rotations, only the smallest are built.
+    are betas of p: of those k rotations, only the smallest are built, from
+    p's padded rows (module docstring).
     """
-    k, n = box.k, box.n
-    betas = _betas(p, k)
-    # size of T^b sigma_p less |p|; k - 1 - i betas lie below betas[i]
-    sizes = [n * (k - 1 - i) - k * b for i, b in enumerate(betas)]
+    k, w = box.k, box.width
+    rows = p + (0,) * (k - len(p))
+    # T^j at the beta j = rows[i] + k - 1 - i has size |p| + w(k - 1 - i) - k rows[i]
+    sizes = [s - k * x for s, x in zip(range(w * (k - 1), -1, -w), rows)]
     least = min(sizes)
-    # the scan calls _rotate's uncached body: only _from_orbit reads rotations back
-    turn = _rotate.__wrapped__
-    p0, j, g = min((u, b, g) for b, s in zip(betas, sizes) if s == least
-                   for u, g in [turn(p, b, box)])
-    # T^(n-j) T^j sigma_p = q^(n-k) sigma_p
-    return p0, -j % n, n - k - g if j else 0
+    p0, j, x = min([(tuple([y + w - x for y in rows[i + 1:] if y + w > x]
+                           + [y - x for y in rows[:i + 1] if y > x]), x + k - 1 - i, x)
+                    for i, x in enumerate(rows) if sizes[i] == least])
+    # T^(n-j) T^j sigma_p = q^(n-k) sigma_p, and T^j sigma_p = q^x sigma_p0
+    return p0, -j % box.n, w - x if j else 0
 
 
 @lru_cache(maxsize=2**14)
 def _orbit_mult(p0: Partition, q0: Partition, box: GrassmannBox) -> tuple:
-    """sigma_p0 * sigma_q0 for representatives p0 >= q0 > () as (((u0, rot, deg), coeff), ...).
+    """sigma_p0 * sigma_q0 for representatives p0 >= q0 > () as ((u0, rot, deg, coeff), ...).
 
     One entry per unordered pair: at most o(o+1)/2 per box for o orbits.
+    The terms' orbits are found outside _orbit's cache, which so keeps the
+    classes that gw_invariant and quantum_product look up, and their
+    representatives are the shape table's tuples.
     """
+    orbit = _orbit.__wrapped__
     acc: dict[tuple[Partition, int, int], int] = {}
     for u, m in _lr_walk(p0, q0, box.k).items():
         red = rim_hook_reduce(u, box)
         if red is not None:
-            shape, d, sign = red
-            u0, a, e = _orbit(shape, box)
-            acc[u0, a, d - e] = acc.get((u0, a, d - e), 0) + sign * m
-    return tuple((key, c) for key, c in acc.items() if c)
+            u0, a, e = orbit(red[0], box)
+            key = (u0, a, red[1] - e)
+            acc[key] = acc.get(key, 0) + red[2] * m
+    get = shape_table(len(acc))
+    return tuple((get(u0, u0), a, d, c) for (u0, a, d), c in acc.items() if c)
 
 
-def _orbit_product(x: dict, y: dict, box: GrassmannBox) -> dict:
-    """Product of two {(u0, rot, deg): coeff} classes; a () factor only rotates."""
+def _orbit_step(acc: dict, x: dict, key: tuple, m: int, box: GrassmannBox) -> dict:
+    """acc plus m times the product of the {(u0, rot, deg): coeff} class x
+    with the one key (p0, b, f); a () factor only rotates."""
     n, w = box.n, box.width
-    acc: dict[tuple[Partition, int, int], int] = {}
+    p0, b, f = key
     for (u0, a, e), c in x.items():
-        for (p0, b, f), m in y.items():
-            hi, lo = (u0, p0) if u0 > p0 else (p0, u0)
-            terms = _orbit_mult(hi, lo, box) if lo else (((hi, 0, 0), 1),)
-            ab, ef, cm = a + b, e + f, c * m
-            for (v0, g, h), t in terms:
-                turns, rot = divmod(ab + g, n)
-                key = (v0, rot, ef + h + turns * w)
-                acc[key] = acc.get(key, 0) + cm * t
+        hi, lo = (u0, p0) if u0 > p0 else (p0, u0)
+        terms = _orbit_mult(hi, lo, box) if lo else ((hi, 0, 0, 1),)
+        ab, ef, cm = a + b, e + f, c * m
+        for v0, g, h, t in terms:
+            rot, deg = ab + g, ef + h
+            while rot >= n:   # a, b, g < n: at most two turns, each q^(n-k)
+                rot, deg = rot - n, deg + w
+            out = (v0, rot, deg)
+            acc[out] = acc.get(out, 0) + cm * t
     return acc
 
 
@@ -252,11 +267,6 @@ def _from_orbit(x: dict, box: GrassmannBox) -> dict[tuple[Partition, int], int]:
     return acc
 
 
-def _dual(u: Partition, box: GrassmannBox) -> Partition:
-    """Shape of the Poincare dual class of sigma_u: each beta b becomes n - 1 - b."""
-    return _shape([box.n - 1 - b for b in reversed(_betas(u, box.k))], box.k)
-
-
 def quantum_product(a: QClass, b: QClass) -> QClass:
     """q-linear product: classical LR expansion, then rim-hook reduction."""
     if a.box != b.box:
@@ -264,36 +274,42 @@ def quantum_product(a: QClass, b: QClass) -> QClass:
     box = a.box
     x, y = ({(p0, rot, d - e): c for (p, d), c in z.terms
              for p0, rot, e in [_orbit(p, box)]} for z in (a, b))
-    return QClass(box, _from_orbit(_orbit_product(x, y, box), box))
+    acc: dict[tuple[Partition, int, int], int] = {}
+    for key, m in y.items():
+        _orbit_step(acc, x, key, m, box)
+    return QClass(box, _from_orbit(acc, box))
 
 
 def gw_invariant(box: GrassmannBox, classes: Sequence[Partition], d: int):
     """Genus-0 degree-d invariant: q^d point-class coefficient of the product.
 
-    Works in the box with fewer rows: Gr(n - k, n) with every class
-    conjugated when k > n - k.  Rotations of () fold into one starting key;
-    the other classes, sorted, are dealt alternately into two halves, which
-    are paired by Poincare duality (module docstring).
+    Works on the multiset of the classes, each distinct one checked,
+    conjugated and looked up once, in the box with fewer rows: Gr(n - k, n)
+    with every class conjugated when k > n - k.  Rotations of () fold into
+    one starting key; the other classes, sorted, are dealt alternately into
+    two halves, which are paired through the box complement (module
+    docstring).
     """
-    classes = [partition(p) for p in classes]
-    if len(classes) < 2:
+    counts = Counter()
+    for p, m in Counter(map(tuple, classes)).items():
+        counts[partition(p)] += m
+    if counts.total() < 2:
         raise DomainError("need at least 2 classes")
-    for p in classes:
+    for p in counts:
         if not fits_box(p, box.k, box.width):
             raise DomainError(f"{p} does not fit in {box}")
-    if d < 0:
-        return 0
-    if sum(sum(p) for p in classes) != box.k * box.width + box.n * d:
+    if d < 0 or sum(sum(p) * m for p, m in counts.items()) != box.k * box.width + box.n * d:
         return 0
     if box.k > box.width:
-        box, classes = GrassmannBox(box.width, box.n), [conjugate(p) for p in classes]
-    orbits = [_orbit(p, box) for p in sorted(classes)]
-    turns, rot = divmod(sum(a for p0, a, _ in orbits if not p0), box.n)
-    deg = turns * box.width - sum(e for p0, _, e in orbits if not p0)
+        box, counts = GrassmannBox(box.width, box.n), {conjugate(p): m for p, m in counts.items()}
+    orbits = [(_orbit(p, box), m) for p, m in sorted(counts.items())]
+    turns, rot = divmod(sum(a * m for (p0, a, _), m in orbits if not p0), box.n)
+    deg = turns * box.width - sum(e * m for (p0, _, e), m in orbits if not p0)
     halves = [{((), rot, deg): 1}, {((), 0, 0): 1}]
-    for i, (p0, a, e) in enumerate(o for o in orbits if o[0]):
-        halves[i % 2] = _orbit_product(halves[i % 2], {(p0, a, -e): 1}, box)
+    for i, key in enumerate([(p0, a, -e) for (p0, a, e), m in orbits if p0 for _ in range(m)]):
+        halves[i % 2] = _orbit_step({}, halves[i % 2], key, 1, box)
     left, right = (_from_orbit(half, box) for half in halves)
-    # <sigma_u, sigma_v, 1>_e is 1 when e = 0 and v is dual to u, else 0
-    return sum(c * right.get((_dual(u, box), d - i), 0)
+    # <sigma_u, sigma_v, 1>_e is 1 when e = 0 and v is u's complement, else 0
+    complement = shape_forms(box.k, box.width)[1]
+    return sum(c * right.get((complement(u, box.k, box.width), d - i), 0)
                for (u, i), c in left.items() if i <= d)

@@ -180,12 +180,12 @@ def test_witten_rank_works_in_the_box_with_fewer_rows(monkeypatch):
         monkeypatch.setattr(qgrass, name, recorded)
 
     record("gw_invariant", 0)
-    record("_orbit_product", -1)
+    record("_orbit_step", -1)
     record("_from_orbit", -1)
     setup = BlockSetup(31, 3, (SlWeight(31, (1,) * 16),) * 6)
     assert witten_rank(setup) == 7905
     assert seen == {"gw_invariant": {GrassmannBox(32, 35)},
-                    "_orbit_product": {GrassmannBox(3, 35)},
+                    "_orbit_step": {GrassmannBox(3, 35)},
                     "_from_orbit": {GrassmannBox(3, 35)}}
     # below the critical level the level class (1) of Gr(3, 4) is
     # conjugated too: sl3 at level 1 runs in Gr(1, 4), where all seven

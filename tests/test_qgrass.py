@@ -11,7 +11,6 @@ from cblocks.errors import ConsistencyError, DomainError
 from cblocks.qgrass import (
     GrassmannBox,
     QClass,
-    _dual,
     _orbit,
     _orbit_mult,
     _rotate,
@@ -318,7 +317,6 @@ def test_the_poincare_dual_is_the_box_complement():
                 betas = [row(u, a) + k - a for a in range(1, k + 1)]
                 dual = sorted((n - 1 - b for b in betas), reverse=True)
                 expected = partition(dual[a - 1] - (k - a) for a in range(1, k + 1))
-                assert _dual(u, box) == expected
                 assert box_complement(u, k, n - k) == expected
 
 
@@ -427,6 +425,69 @@ def test_gw_invariant_matches_reference_fold_on_long_tuples(case):
     assert gw_invariant(box, classes, d) == _reference_gw(box, classes, d)
 
 
+@st.composite
+def _repeated_classes(draw):
+    """(box, spelled, classes, d): a graded list of classes in a box with
+    k <= 3, n <= 7 and d <= 2, drawn from at most three shapes, the
+    rotations (n-k) and (1^k) and the unit, so that most classes repeat;
+    up to 24 are drawn and the rest of the grading is made up with (1).
+    spelled is the list shuffled, each class a list or a tuple with up to
+    two trailing zeros; classes is the list as partitions."""
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(k + 1, 7))
+    box = GrassmannBox(k, n)
+    pool = draw(st.lists(st.sampled_from(_box_shapes(k, n - k)), min_size=1, max_size=3))
+    pool += [(n - k,), (1,) * k, ()]
+    d = draw(st.integers(0, 2))
+    budget = k * (n - k) + n * d
+    classes = []
+    for p in draw(st.lists(st.sampled_from(pool), max_size=24)):
+        if sum(p) <= budget:
+            classes.append(p)
+            budget -= sum(p)
+    classes += [(1,)] * budget + [()] * (2 - len(classes) - budget)
+    spelled = [draw(st.sampled_from((list, tuple)))(p + (0,) * draw(st.integers(0, 2)))
+               for p in classes]
+    return box, draw(st.permutations(spelled)), classes, d
+
+
+@settings(deadline=None, max_examples=60)
+@given(_repeated_classes())
+def test_gw_invariant_on_repeated_classes_matches_reference_fold(case):
+    # gw_invariant tallies its classes, so every copy of a class, however
+    # spelled, is one entry with a multiplicity
+    box, spelled, classes, d = case
+    assert gw_invariant(box, spelled, d) == _reference_gw(box, classes, d)
+
+
+def test_repeated_classes_are_checked_and_looked_up_once(monkeypatch):
+    box = GrassmannBox(2, 5)
+    # eleven copies of (1): |(1)^11| = 2 * 3 + 5 * 1
+    expected = _reference_gw(box, [(1,)] * 11, 1)
+    calls = []
+
+    def counted(name):
+        real = getattr(qgrass, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        # _orbit_mult reads _orbit's uncached body, which is not counted
+        wrapper.__wrapped__ = getattr(real, "__wrapped__", None)
+        monkeypatch.setattr(qgrass, name, wrapper)
+
+    counted("partition")
+    counted("_orbit")
+    assert gw_invariant(box, [[1]] * 5 + [(1,)] * 6, 1) == expected
+    assert sorted(calls) == ["_orbit", "partition"]
+    # a bad class is refused however often it is repeated, after one check
+    for bad, message in (([4], "does not fit"), ([1, 2], "not weakly decreasing")):
+        calls.clear()
+        with pytest.raises(DomainError, match=message):
+            gw_invariant(box, [bad] * 7, 1)
+        assert calls == ["partition"]
+
+
 def _below_critical_setups(seed=23, count=30):
     """`count` seeded sl3, sl4 and sl5 setups of 6-8 points below their
     critical level, so witten_rank multiplies in s >= 1 level classes; sl4
@@ -451,13 +512,13 @@ def test_the_halves_make_a_pinned_number_of_orbit_products(monkeypatch):
     setups = _below_critical_setups()
     expected = [cb_rank(s) for s in setups]
     calls = []
-    real = qgrass._orbit_product
+    real = qgrass._orbit_step
 
-    def counted(x, y, box):
+    def counted(acc, x, key, m, box):
         calls.append(box)
-        return real(x, y, box)
+        return real(acc, x, key, m, box)
 
-    monkeypatch.setattr(qgrass, "_orbit_product", counted)
+    monkeypatch.setattr(qgrass, "_orbit_step", counted)
     assert [witten_rank(s) for s in setups] == expected
     assert len(calls) == 180
     assert any(expected)

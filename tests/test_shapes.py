@@ -1,18 +1,20 @@
 """One tuple per shape in the rank memos' values (young.shape_table).
 
-The LR slots (schur._lr_mult), the fusion products (cb.fusion_expand) and
-the half vectors (cb._fuse) live as long as the process, and their shapes
-recur from one value to the next.  The LR kernel (schur._lr_walk) hands out
-the one shape table's tuples, and cb passes the shapes it makes through
-young.share_shapes, so an equal shape is one tuple however many values hold
-it.  The table is cleared before it passes its bound, and a shape made after
-a clear is an equal tuple, so clearing changes no answer.
+The LR slots (schur._lr_mult), the fusion products (cb.fusion_expand), the
+half vectors (cb._fuse) and the quantum route's products (qgrass._orbit_mult)
+live as long as the process, and their shapes recur from one value to the
+next.  The LR kernel (schur._lr_walk) hands out the one shape table's
+tuples, cb passes the shapes it makes through young.share_shapes, and
+qgrass takes each orbit representative from the table, so an equal shape is
+one tuple however many values hold it.  The table is cleared before it
+passes its bound, and a shape made after a clear is an equal tuple, so
+clearing changes no answer.
 """
 
 from pathlib import Path
 
-from cblocks import cb, schur, young
-from cblocks.cb import degree_m04, vanishing_report
+from cblocks import cb, qgrass, schur, young
+from cblocks.cb import degree_m04, vanishing_report, witten_rank
 from cblocks.schur import coinvariant_rank
 from cblocks.young import BlockSetup, SlWeight, parse_weight_list
 
@@ -40,8 +42,8 @@ SETUPS = _readme_setups() + [
 
 
 def _cold():
-    """Empty every functools cache of cb, schur and young, and the shape table."""
-    for module in (cb, schur, young):
+    """Empty every functools cache of cb, qgrass, schur and young, and the shape table."""
+    for module in (cb, qgrass, schur, young):
         for value in vars(module).values():
             if hasattr(value, "cache_clear") and value.__module__ == module.__name__:
                 value.cache_clear()
@@ -76,11 +78,18 @@ def test_every_shape_the_rank_memos_hold_is_one_tuple(monkeypatch):
             return value
         monkeypatch.setattr(module, name, wrapper)
 
-    for module, name in ((schur, "_lr_slot"), (cb, "fusion_expand"), (cb, "_fuse")):
+    for module, name in ((schur, "_lr_slot"), (cb, "fusion_expand"), (cb, "_fuse"),
+                         (qgrass, "_orbit_mult")):
         recording(module, name)
     _answers()
-    shapes = [p for value in held.values()
-              for p in (value[1] if isinstance(value, list) else value)]
+    # the quantum route: each term of an _orbit_mult value is (u0, rot, deg, coeff)
+    for r, level, text in SETUPS:
+        witten_rank(BlockSetup(r, level, parse_weight_list(text, r)))
+    representatives = [term[0] for value in held.values() if isinstance(value, tuple)
+                       for term in value]
+    assert len(representatives) > 1000
+    shapes = representatives + [p for value in held.values() if not isinstance(value, tuple)
+                                for p in (value[1] if isinstance(value, list) else value)]
     assert len(shapes) > 1000
     # a product with an empty factor is the kernel's early return
     early = [value[1] for (p, q, _), value in slots.items() if not p or not q]
